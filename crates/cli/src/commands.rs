@@ -200,15 +200,16 @@ fn demo(args: &Args) -> Result<(), String> {
 /// code path every other client uses, framing included.
 fn ops_request(addr: &str, req: tsvr_serve::Request) -> Result<tsvr_serve::Response, String> {
     use std::io::{BufRead, BufReader, Write};
-    let stream =
+    let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    writeln!(
-        writer,
-        "{}",
-        tsvr_serve::encode_request(&tsvr_serve::Envelope::new(req))
-    )
-    .map_err(|e| e.to_string())?;
+    // One write per request line: a separate newline segment would sit
+    // in Nagle's buffer until the server's delayed ACK.
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    let mut request = tsvr_serve::encode_request(&tsvr_serve::Envelope::new(req));
+    request.push('\n');
+    stream
+        .write_all(request.as_bytes())
+        .map_err(|e| e.to_string())?;
     let mut line = String::new();
     BufReader::new(stream)
         .read_line(&mut line)

@@ -24,14 +24,31 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error produced by [`Json::parse`]: a message and the byte offset at
-/// which parsing failed.
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use on hostile
+/// input (a network line of `[[[[…`); every document the workspace
+/// writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Error produced by [`Json::parse`]: what kind of failure, a message
+/// and the byte offset at which parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// Which rule the input broke.
+    pub kind: ParseErrorKind,
     /// What went wrong.
     pub message: String,
     /// Byte offset into the input.
     pub offset: usize,
+}
+
+/// The class of a [`ParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// Not well-formed JSON, or not the document shape a reader expects.
+    Syntax,
+    /// Arrays/objects nested deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -48,6 +65,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -176,14 +194,32 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.to_string(),
             offset: self.pos,
         }
+    }
+
+    /// Parses one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                kind: ParseErrorKind::TooDeep,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+                offset: self.pos,
+            });
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn skip_ws(&mut self) {
@@ -224,8 +260,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),

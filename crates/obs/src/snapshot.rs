@@ -21,7 +21,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{Json, ParseError};
+use crate::json::{Json, ParseError, ParseErrorKind};
 
 /// Identifies the snapshot JSON schema version.
 pub const SCHEMA: &str = "tsvr-obs/1";
@@ -167,6 +167,7 @@ impl Snapshot {
     /// Inverse of [`Snapshot::to_json_value`].
     pub fn from_json_value(doc: &Json) -> Result<Snapshot, ParseError> {
         let bad = |message: &str| ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.to_string(),
             offset: 0,
         };

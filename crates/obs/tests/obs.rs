@@ -131,6 +131,34 @@ fn lcg(state: &mut u64) -> usize {
 }
 
 #[test]
+fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+    use tsvr_obs::json::{Json, ParseErrorKind, MAX_DEPTH};
+    // One recursion per level used to overflow the thread's stack and
+    // abort the process on a line like this.
+    for open in ["[", "{\"a\":"] {
+        let hostile = open.repeat(200_000);
+        let err = Json::parse(&hostile).expect_err("200k levels parsed");
+        assert_eq!(err.kind, ParseErrorKind::TooDeep, "{err}");
+        assert_eq!(err.offset, MAX_DEPTH * open.len());
+        let err = Snapshot::from_json(&hostile).expect_err("snapshot reader");
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert!(tsvr_obs::trace::Event::parse_line(&hostile).is_err());
+    }
+    // The limit itself still parses; one more level does not.
+    let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(Json::parse(&at_limit).is_ok());
+    let over = format!("[{at_limit}]");
+    assert_eq!(
+        Json::parse(&over).unwrap_err().kind,
+        ParseErrorKind::TooDeep
+    );
+    assert_eq!(
+        Json::parse("[1,]").unwrap_err().kind,
+        ParseErrorKind::Syntax
+    );
+}
+
+#[test]
 fn parser_survives_corrupted_snapshots() {
     // A snapshot whose metric names force every string-parser path:
     // short escapes, \u escapes (control chars), and multi-byte UTF-8.

@@ -828,6 +828,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_is_rejected_not_fatal() {
+        let err = decode_request(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let nested = format!(r#"{{"op":"ping","x":{}}}"#, "[".repeat(200_000));
+        assert!(decode_request(&nested).unwrap_err().contains("nesting deeper than"));
+    }
+
+    #[test]
     fn requests_round_trip() {
         round_trip_req(Envelope::new(Request::Open {
             clip_id: 1,

@@ -55,16 +55,82 @@ impl BackgroundModel {
         assert_eq!(frame.width(), self.width);
         assert_eq!(frame.height(), self.height);
         let mut mask = Mask::empty(self.width, self.height);
-        let slow = self.alpha / 20.0;
-        for (i, (&p, m)) in frame.pixels().iter().zip(self.mean.iter_mut()).enumerate() {
-            let fg = (p as f64 - *m).abs() > self.threshold;
-            let rate = if fg { slow } else { self.alpha };
-            *m += rate * (p as f64 - *m);
-            if fg {
-                mask.as_mut_slice()[i] = true;
-            }
-        }
+        let rates = self.rates();
+        step_band(
+            &mut self.mean,
+            frame.pixels(),
+            None,
+            mask.as_mut_slice(),
+            rates,
+        );
         mask.majority_filter(4)
+    }
+
+    /// The fused, band-parallel equivalent of calling, for each frame in
+    /// clip order, [`background`](Self::background) (when `with_diff`)
+    /// and then [`subtract_and_update`](Self::subtract_and_update)
+    /// without its majority filter.
+    ///
+    /// Returns one `(diff, raw)` pair per frame: `diff` is the absolute
+    /// difference between the frame and the pre-update background
+    /// estimate (`Some` only when `with_diff`), `raw` the unfiltered
+    /// foreground mask. The model ends in exactly the state the
+    /// sequential calls leave it in.
+    ///
+    /// Every pixel's model depends only on that pixel's own history, so
+    /// the frame is cut into row bands that run in parallel on the
+    /// [`tsvr_par`] runtime; inside a band the frames are stepped in
+    /// order. Each band writes straight into its disjoint slices of the
+    /// returned frames and masks, and every pixel sees the same update
+    /// sequence as in the sequential loop, so the result is
+    /// bit-identical at any thread count.
+    pub fn step_frames(
+        &mut self,
+        frames: &[GrayFrame],
+        with_diff: bool,
+    ) -> Vec<(Option<GrayFrame>, Mask)> {
+        for f in frames {
+            assert_eq!(f.width(), self.width);
+            assert_eq!(f.height(), self.height);
+        }
+        let (w, h) = (self.width, self.height);
+        let mut diffs: Vec<GrayFrame> = if with_diff {
+            frames.iter().map(|_| GrayFrame::black(w, h)).collect()
+        } else {
+            Vec::new()
+        };
+        let mut masks: Vec<Mask> = frames.iter().map(|_| Mask::empty(w, h)).collect();
+        if !self.mean.is_empty() {
+            let bands = tsvr_par::current_threads().max(1) * BANDS_PER_THREAD;
+            let band_len = (h as usize).div_ceil(bands) * w as usize;
+            let rates = self.rates();
+            let mut pixels: Vec<_> = frames.iter().map(|f| f.pixels().chunks(band_len)).collect();
+            let mut diff_cuts: Vec<_> = diffs
+                .iter_mut()
+                .map(|d| d.pixels_mut().chunks_mut(band_len))
+                .collect();
+            let mut mask_cuts: Vec<_> = masks
+                .iter_mut()
+                .map(|m| m.as_mut_slice().chunks_mut(band_len))
+                .collect();
+            let mut bands: Vec<Band> = self
+                .mean
+                .chunks_mut(band_len)
+                .map(|mean| Band {
+                    mean,
+                    pixels: pixels.iter_mut().filter_map(Iterator::next).collect(),
+                    diffs: diff_cuts.iter_mut().filter_map(Iterator::next).collect(),
+                    masks: mask_cuts.iter_mut().filter_map(Iterator::next).collect(),
+                })
+                .collect();
+            tsvr_par::par_for_chunks(&mut bands, 1, |_, run| {
+                for band in run {
+                    band.step(rates);
+                }
+            });
+        }
+        let mut diffs = diffs.into_iter();
+        masks.into_iter().map(|m| (diffs.next(), m)).collect()
     }
 
     /// Foreground classification without model update.
@@ -82,16 +148,95 @@ impl BackgroundModel {
     /// Current background estimate as a frame.
     pub fn background(&self) -> GrayFrame {
         let mut f = GrayFrame::black(self.width, self.height);
-        for (i, &m) in self.mean.iter().enumerate() {
-            f.pixels_mut()[i] = m.clamp(0.0, 255.0) as u8;
+        for (p, &m) in f.pixels_mut().iter_mut().zip(&self.mean) {
+            *p = estimate(m);
         }
         f
     }
+
+    fn rates(&self) -> Rates {
+        Rates {
+            alpha: self.alpha,
+            slow: self.alpha / 20.0,
+            threshold: self.threshold,
+        }
+    }
+}
+
+/// Row bands per worker thread in [`BackgroundModel::step_frames`]:
+/// a few per worker, so a worker slowed by a noisy neighbour hands the
+/// remaining bands to the others.
+const BANDS_PER_THREAD: usize = 4;
+
+/// Learning rates and threshold, copied out of the model so bands can
+/// share them while each holds a mutable slice of the means.
+#[derive(Clone, Copy)]
+struct Rates {
+    alpha: f64,
+    slow: f64,
+    threshold: f64,
+}
+
+/// One row band of a [`BackgroundModel::step_frames`] call: the band's
+/// slice of the model and of every frame, difference image and mask.
+struct Band<'a> {
+    mean: &'a mut [f64],
+    pixels: Vec<&'a [u8]>,
+    diffs: Vec<&'a mut [u8]>,
+    masks: Vec<&'a mut [bool]>,
+}
+
+impl Band<'_> {
+    /// Steps the band's pixels through every frame in order.
+    fn step(&mut self, rates: Rates) {
+        let mut diffs = self.diffs.iter_mut();
+        for (pixels, mask) in self.pixels.iter().zip(&mut self.masks) {
+            let diff = diffs.next().map(|d| &mut **d);
+            step_band(self.mean, pixels, diff, mask, rates);
+        }
+    }
+}
+
+/// The background estimate of one pixel's running mean.
+#[inline]
+fn estimate(mean: f64) -> u8 {
+    mean.clamp(0.0, 255.0) as u8
+}
+
+/// One frame's update of a run of pixels: optionally the difference
+/// from the pre-update estimate, then the raw foreground bit and the
+/// selective running-mean update, in a single pass.
+#[inline]
+fn step_band(mean: &mut [f64], pixels: &[u8], diff: Option<&mut [u8]>, fg: &mut [bool], r: Rates) {
+    match diff {
+        Some(diff) => {
+            for (((m, &p), fg), d) in mean.iter_mut().zip(pixels).zip(fg).zip(diff) {
+                *d = p.abs_diff(estimate(*m));
+                *fg = update(m, p, r);
+            }
+        }
+        None => {
+            for ((m, &p), fg) in mean.iter_mut().zip(pixels).zip(fg) {
+                *fg = update(m, p, r);
+            }
+        }
+    }
+}
+
+/// Classifies one pixel against its running mean and updates the mean:
+/// at `alpha` when it is background, at `alpha/20` when foreground.
+#[inline]
+fn update(mean: &mut f64, p: u8, r: Rates) -> bool {
+    let delta = p as f64 - *mean;
+    let fg = delta.abs() > r.threshold;
+    *mean += if fg { r.slow } else { r.alpha } * delta;
+    fg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsvr_sim::Pcg32;
 
     fn flat(v: u8) -> GrayFrame {
         GrayFrame::filled(32, 32, v)
@@ -179,6 +324,82 @@ mod tests {
         bg.learn(&frames);
         let est = bg.background();
         assert!((est.mean() - 90.0).abs() < 2.0, "mean = {}", est.mean());
+    }
+
+    /// Seeded frames around a base level: sensor noise, with bright or
+    /// dark blocks that come and go, so pixels cross the threshold both
+    /// ways and take both learning rates.
+    fn noisy_frames(rng: &mut Pcg32, w: u32, h: u32, n: usize) -> Vec<GrayFrame> {
+        (0..n)
+            .map(|_| {
+                let mut f = GrayFrame::black(w, h);
+                for p in f.pixels_mut() {
+                    *p = 100 + rng.uniform_u32(12) as u8;
+                }
+                let blocks = if f.is_empty() { 0 } else { rng.uniform_u32(3) };
+                for _ in 0..blocks {
+                    let (x0, y0) = (rng.uniform_u32(w), rng.uniform_u32(h));
+                    let level = rng.uniform_u32(256) as u8;
+                    for y in y0..(y0 + 1 + rng.uniform_u32(8)).min(h) {
+                        for x in x0..(x0 + 1 + rng.uniform_u32(8)).min(w) {
+                            f.set(x, y, level);
+                        }
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    fn bits(m: &BackgroundModel) -> Vec<u64> {
+        m.mean.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn band_parallel_step_matches_sequential_kernels() {
+        let mut rng = Pcg32::seeded(0xba4d);
+        // Heights the band count does not divide, 1-row and 1-column
+        // frames, and chunks shorter than the thread count.
+        let shapes = [(32, 24), (13, 37), (7, 5), (41, 1), (1, 29), (1, 1), (0, 4)];
+        for threads in [1, 2, 4] {
+            tsvr_par::set_threads(threads);
+            for (w, h) in shapes {
+                let frames = noisy_frames(&mut rng, w, h, 14);
+                let mut seq = BackgroundModel::from_frame(&frames[0]);
+                let mut fused = seq.clone();
+                let mut at = 1;
+                for len in [1, 6, 2, 3, 1] {
+                    let chunk = &frames[at..at + len];
+                    let with_diff = len != 2;
+                    let steps = fused.step_frames(chunk, with_diff);
+                    assert_eq!(steps.len(), len);
+                    for ((diff, raw), frame) in steps.iter().zip(chunk) {
+                        let what = format!("{threads} threads, {w}x{h}, frame {at}");
+                        let want_diff = frame.abs_diff(&seq.background());
+                        let want_raw: Vec<bool> = frame
+                            .pixels()
+                            .iter()
+                            .zip(&seq.mean)
+                            .map(|(&p, &m)| (p as f64 - m).abs() > seq.threshold)
+                            .collect();
+                        let want_mask = seq.subtract_and_update(frame);
+                        match diff {
+                            Some(diff) => assert_eq!(diff, &want_diff, "{what}: diff"),
+                            None => assert!(!with_diff, "{what}: missing diff"),
+                        }
+                        assert_eq!(raw.as_slice(), &want_raw[..], "{what}: raw mask");
+                        assert_eq!(raw.majority_filter(4), want_mask, "{what}: mask");
+                        at += 1;
+                    }
+                    assert_eq!(
+                        bits(&fused),
+                        bits(&seq),
+                        "{threads} threads, {w}x{h}: model"
+                    );
+                }
+            }
+        }
+        tsvr_par::set_threads(0);
     }
 
     #[test]

@@ -188,48 +188,42 @@ impl Mask {
     /// `min_neighbors` of its 8-neighborhood (plus itself) are set.
     /// Cleans salt-and-pepper noise out of threshold masks.
     ///
-    /// Implemented as a separable box count (vertical column sums, then
-    /// a horizontal sliding window) — O(1) work per pixel instead of 9
-    /// neighborhood reads, which matters because this runs twice per
-    /// video frame.
+    /// Implemented as a separable box count (vertical column sums over a
+    /// rolling one-row buffer, then a horizontal 3-wide window) — O(1)
+    /// work per pixel instead of 9 neighborhood reads, which matters
+    /// because this runs twice per video frame.
     pub fn majority_filter(&self, min_neighbors: u32) -> Mask {
         let w = self.width as usize;
-        let h = self.height as usize;
         let mut out = Mask::empty(self.width, self.height);
-        if w == 0 || h == 0 {
+        if w == 0 || self.height == 0 {
             return out;
         }
-        // Vertical 3-row column sums.
-        let mut col = vec![0u8; w * h];
-        for y in 0..h {
-            let up = y.checked_sub(1);
-            let down = if y + 1 < h { Some(y + 1) } else { None };
-            for x in 0..w {
-                let mut c = self.data[y * w + x] as u8;
-                if let Some(u) = up {
-                    c += self.data[u * w + x] as u8;
-                }
-                if let Some(d) = down {
-                    c += self.data[d * w + x] as u8;
-                }
-                col[y * w + x] = c;
-            }
-        }
-        // Horizontal sliding window over the column sums.
         let need = min_neighbors as u8;
-        for y in 0..h {
-            let row = &col[y * w..(y + 1) * w];
-            let mut run = row[0] + if w > 1 { row[1] } else { 0 };
-            out.data[y * w] = run >= need;
-            for x in 1..w {
-                if x + 1 < w {
-                    run += row[x + 1];
-                }
-                if x >= 2 {
-                    run -= row[x - 2];
-                }
-                out.data[y * w + x] = run >= need;
+        let rows: Vec<&[bool]> = self.data.chunks_exact(w).collect();
+        let mut col = vec![0u8; w];
+        for (y, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+            // Vertical 3-row column sums for row `y`.
+            for (c, &b) in col.iter_mut().zip(rows[y]) {
+                *c = b as u8;
             }
+            for adj in [y.checked_sub(1), Some(y + 1)].into_iter().flatten() {
+                if let Some(row) = rows.get(adj) {
+                    for (c, &b) in col.iter_mut().zip(*row) {
+                        *c += b as u8;
+                    }
+                }
+            }
+            // Horizontal window: interior pixels sum three column sums,
+            // the edge pixels the two that exist.
+            if w == 1 {
+                out_row[0] = col[0] >= need;
+                continue;
+            }
+            out_row[0] = col[0] + col[1] >= need;
+            for (o, t) in out_row[1..w - 1].iter_mut().zip(col.windows(3)) {
+                *o = t[0] + t[1] + t[2] >= need;
+            }
+            out_row[w - 1] = col[w - 2] + col[w - 1] >= need;
         }
         out
     }
@@ -305,6 +299,44 @@ mod tests {
         m.set(2, 2, true); // isolated
         let cleaned = m.majority_filter(3);
         assert_eq!(cleaned.count(), 0);
+    }
+
+    #[test]
+    fn majority_filter_matches_the_definition_on_thin_frames() {
+        let mut rng = tsvr_sim::Pcg32::seeded(0xf117);
+        for (w, h) in [
+            (1, 1),
+            (1, 7),
+            (9, 1),
+            (2, 2),
+            (2, 5),
+            (6, 3),
+            (11, 8),
+            (0, 3),
+        ] {
+            let mut m = Mask::empty(w, h);
+            for b in m.as_mut_slice() {
+                *b = rng.next_f64() < 0.6;
+            }
+            for need in 0..=10 {
+                let out = m.majority_filter(need);
+                for y in 0..h {
+                    for x in 0..w {
+                        let mut n = 0;
+                        for ny in y.saturating_sub(1)..(y + 2).min(h) {
+                            for nx in x.saturating_sub(1)..(x + 2).min(w) {
+                                n += m.get(nx, ny) as u32;
+                            }
+                        }
+                        assert_eq!(
+                            out.get(x, y),
+                            n >= need,
+                            "{w}x{h} need {need} at ({x}, {y})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

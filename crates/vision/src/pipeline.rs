@@ -7,7 +7,7 @@
 
 use crate::background::BackgroundModel;
 use crate::blob::{extract_blobs, Blob};
-use crate::frame::{GrayFrame, Mask};
+use crate::frame::GrayFrame;
 use crate::render::Renderer;
 use crate::spcpe;
 use crate::tracker::{Tracker, TrackerConfig};
@@ -78,43 +78,47 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
     let mut tracker = Tracker::new(cfg.tracker);
     let mut detections_per_frame = Vec::with_capacity(sim.frames.len());
 
-    // Frames are processed in bounded chunks so the pure per-frame
-    // stages (rendering, SPCPE refinement, blob extraction) can fan out
-    // on the [`tsvr_par`] runtime, while the two order-sensitive stages
-    // — the running background update and the tracker — consume frames
-    // in exact clip order. Every stage computes the same values as the
-    // plain sequential loop did, so the output is bit-identical
-    // regardless of the thread count; the chunk bound keeps at most a
-    // few dozen decoded frames in flight.
+    // Frames are processed in bounded chunks so every stage can fan out
+    // on the [`tsvr_par`] runtime while the tracker — the one stage
+    // that needs whole frames in clip order — consumes them in exact
+    // clip order. The background update is order-sensitive too, but
+    // only per pixel: it runs the chunk's frames in clip order inside
+    // each row band, with the bands in parallel. Every stage computes
+    // the same values as the plain sequential loop did, so the output
+    // is bit-identical regardless of the thread count; the chunk bound
+    // keeps at most a few dozen decoded frames in flight.
     let chunk_len = tsvr_par::current_threads().max(1) * 4;
     for obs_chunk in sim.frames.chunks(chunk_len) {
         // Parallel, pure: synthesize the chunk's frames.
-        let frames: Vec<GrayFrame> =
-            tsvr_par::par_map(obs_chunk, |_, obs| renderer.render(&obs.vehicles, obs.frame));
+        let frames: Vec<GrayFrame> = tsvr_par::par_map(obs_chunk, |_, obs| {
+            let _span = tsvr_obs::span!("vision.segment.render");
+            renderer.render(&obs.vehicles, obs.frame)
+        });
 
-        // Sequential, stateful: background estimate + model update in
-        // clip order (each update feeds the next frame's estimate).
-        let masks: Vec<(Option<GrayFrame>, Mask)> = frames
-            .iter()
-            .map(|frame| {
-                let bg_est = cfg.use_spcpe.then(|| bg.background());
-                (bg_est, bg.subtract_and_update(frame))
-            })
-            .collect();
+        // Band-parallel, stateful per pixel: the difference from the
+        // pre-update background estimate, the raw foreground bit and
+        // the model update, frame by frame in clip order.
+        let steps = {
+            let _span = tsvr_obs::span!("vision.segment.bg");
+            bg.step_frames(&frames, cfg.use_spcpe)
+        };
 
-        // Parallel, pure: SPCPE refinement and blob extraction.
+        // Parallel, pure: despeckle, SPCPE refinement, blob extraction.
         let chunk_blobs: Vec<Vec<Blob>> = tsvr_par::par_map_index(frames.len(), |i| {
             let _span = tsvr_obs::span!("vision.segment");
-            let frame = &frames[i];
-            let (bg_est, mask0) = &masks[i];
-            let mask = match bg_est {
-                Some(bg_est) => {
-                    let diff = frame.abs_diff(bg_est);
-                    spcpe::refine(&diff, mask0).mask.majority_filter(4)
+            let (diff, raw) = &steps[i];
+            let mask0 = raw.majority_filter(4);
+            let mask = match diff {
+                Some(diff) => {
+                    let _span = tsvr_obs::span!("vision.segment.spcpe");
+                    let r = spcpe::refine(diff, &mask0);
+                    tsvr_obs::histogram!("vision.spcpe.iterations").record(r.iterations as u64);
+                    r.mask.majority_filter(4)
                 }
-                None => mask0.clone(),
+                None => mask0,
             };
-            extract_blobs(&mask, cfg.min_blob_area, Some(frame))
+            let _span = tsvr_obs::span!("vision.segment.blob");
+            extract_blobs(&mask, cfg.min_blob_area, Some(&frames[i]))
         });
 
         // Sequential, stateful: feed the tracker in clip order.

@@ -34,11 +34,28 @@ const MAX_ITERS: usize = 12;
 /// partition, (2) reassign every pixel to the nearer mean. Stops when a
 /// sweep changes no pixels. Degenerates gracefully: if either class is
 /// empty the input mask is returned unchanged.
+///
+/// The sweeps run on a joint `(initial class, value)` histogram rather
+/// than on the pixels. After the first reassignment a pixel's class is
+/// a function of its value alone, so every later sweep's class sums and
+/// changed-pixel count are sums over the 256 values, and the final
+/// mask is one lookup-table pass. The class sums are integers below
+/// 2^53, which `f64` holds exactly in any summation order, so the means,
+/// the iteration count and the mask are bit-identical to sweeping the
+/// pixels.
 pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
     assert_eq!(diff.width(), initial.width());
     assert_eq!(diff.height(), initial.height());
     let pixels = diff.pixels();
-    let mut mask = initial.clone();
+
+    // hist[c][v]: pixels of value v in class c of the initial partition.
+    let mut hist = [[0u64; 256]; 2];
+    for (&p, &fg) in pixels.iter().zip(initial.as_slice()) {
+        hist[fg as usize][p as usize] += 1;
+    }
+    // lut[v]: the class every pixel of value v holds after the latest
+    // sweep; `None` before the first, while the initial mask decides.
+    let mut lut: Option<[bool; 256]> = None;
 
     let mut bg_mean = 0.0;
     let mut fg_mean = 0.0;
@@ -47,54 +64,226 @@ pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
     for it in 0..MAX_ITERS {
         iterations = it + 1;
         // Class parameter estimation.
-        let (mut bg_sum, mut bg_n, mut fg_sum, mut fg_n) = (0.0f64, 0usize, 0.0f64, 0usize);
-        for (i, &p) in pixels.iter().enumerate() {
-            if mask.as_slice()[i] {
-                fg_sum += p as f64;
-                fg_n += 1;
-            } else {
-                bg_sum += p as f64;
-                bg_n += 1;
-            }
+        let (mut bg_sum, mut bg_n, mut fg_sum, mut fg_n) = (0u64, 0u64, 0u64, 0u64);
+        for v in 0..256 {
+            let (n0, n1) = (hist[0][v], hist[1][v]);
+            let (to_bg, to_fg) = match lut {
+                None => (n0, n1),
+                Some(l) if l[v] => (0, n0 + n1),
+                Some(_) => (n0 + n1, 0),
+            };
+            bg_sum += v as u64 * to_bg;
+            bg_n += to_bg;
+            fg_sum += v as u64 * to_fg;
+            fg_n += to_fg;
         }
+        let mean = |sum: u64, n: u64| if n > 0 { sum as f64 / n as f64 } else { 0.0 };
         if fg_n == 0 || bg_n == 0 {
             // Degenerate partition; nothing to refine.
             return SpcpeResult {
-                mask,
-                bg_mean: if bg_n > 0 { bg_sum / bg_n as f64 } else { 0.0 },
-                fg_mean: if fg_n > 0 { fg_sum / fg_n as f64 } else { 0.0 },
+                mask: apply(lut, diff, initial),
+                bg_mean: mean(bg_sum, bg_n),
+                fg_mean: mean(fg_sum, fg_n),
                 iterations,
             };
         }
-        bg_mean = bg_sum / bg_n as f64;
-        fg_mean = fg_sum / fg_n as f64;
+        bg_mean = mean(bg_sum, bg_n);
+        fg_mean = mean(fg_sum, fg_n);
 
         // Partition update.
-        let mut changed = 0usize;
-        for (i, &p) in pixels.iter().enumerate() {
-            let v = p as f64;
-            let to_fg = (v - fg_mean).abs() < (v - bg_mean).abs();
-            if mask.as_slice()[i] != to_fg {
-                mask.as_mut_slice()[i] = to_fg;
-                changed += 1;
-            }
+        let mut next = [false; 256];
+        let mut changed = 0u64;
+        for (v, to_fg) in next.iter_mut().enumerate() {
+            let x = v as f64;
+            *to_fg = (x - fg_mean).abs() < (x - bg_mean).abs();
+            changed += match lut {
+                None => hist[!*to_fg as usize][v],
+                Some(l) if l[v] != *to_fg => hist[0][v] + hist[1][v],
+                Some(_) => 0,
+            };
         }
+        lut = Some(next);
         if changed == 0 {
             break;
         }
     }
 
     SpcpeResult {
-        mask,
+        mask: apply(lut, diff, initial),
         bg_mean,
         fg_mean,
         iterations,
     }
 }
 
+/// The partition a value lookup table assigns to `diff`; the initial
+/// mask itself while no sweep has reassigned.
+fn apply(lut: Option<[bool; 256]>, diff: &GrayFrame, initial: &Mask) -> Mask {
+    let Some(lut) = lut else {
+        return initial.clone();
+    };
+    let mut mask = Mask::empty(diff.width(), diff.height());
+    for (m, &p) in mask.as_mut_slice().iter_mut().zip(diff.pixels()) {
+        *m = lut[p as usize];
+    }
+    mask
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsvr_sim::Pcg32;
+
+    /// The per-pixel sweep `refine` replaced: the oracle for its
+    /// histogram formulation.
+    fn refine_per_pixel(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
+        let pixels = diff.pixels();
+        let mut mask = initial.clone();
+        let mut bg_mean = 0.0;
+        let mut fg_mean = 0.0;
+        let mut iterations = 0;
+        for it in 0..MAX_ITERS {
+            iterations = it + 1;
+            let (mut bg_sum, mut bg_n, mut fg_sum, mut fg_n) = (0.0f64, 0usize, 0.0f64, 0usize);
+            for (i, &p) in pixels.iter().enumerate() {
+                if mask.as_slice()[i] {
+                    fg_sum += p as f64;
+                    fg_n += 1;
+                } else {
+                    bg_sum += p as f64;
+                    bg_n += 1;
+                }
+            }
+            if fg_n == 0 || bg_n == 0 {
+                return SpcpeResult {
+                    mask,
+                    bg_mean: if bg_n > 0 { bg_sum / bg_n as f64 } else { 0.0 },
+                    fg_mean: if fg_n > 0 { fg_sum / fg_n as f64 } else { 0.0 },
+                    iterations,
+                };
+            }
+            bg_mean = bg_sum / bg_n as f64;
+            fg_mean = fg_sum / fg_n as f64;
+            let mut changed = 0usize;
+            for (i, &p) in pixels.iter().enumerate() {
+                let v = p as f64;
+                let to_fg = (v - fg_mean).abs() < (v - bg_mean).abs();
+                if mask.as_slice()[i] != to_fg {
+                    mask.as_mut_slice()[i] = to_fg;
+                    changed += 1;
+                }
+            }
+            if changed == 0 {
+                break;
+            }
+        }
+        SpcpeResult {
+            mask,
+            bg_mean,
+            fg_mean,
+            iterations,
+        }
+    }
+
+    fn assert_same(diff: &GrayFrame, initial: &Mask, what: &str) -> SpcpeResult {
+        let got = refine(diff, initial);
+        let want = refine_per_pixel(diff, initial);
+        assert_eq!(got.mask, want.mask, "{what}: mask");
+        assert_eq!(
+            got.bg_mean.to_bits(),
+            want.bg_mean.to_bits(),
+            "{what}: bg_mean"
+        );
+        assert_eq!(
+            got.fg_mean.to_bits(),
+            want.fg_mean.to_bits(),
+            "{what}: fg_mean"
+        );
+        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+        want
+    }
+
+    /// A seeded difference image and seed mask: background residue, a
+    /// few bright blocks and a halo, thresholded with random flips — or,
+    /// in every eighth case, an all-foreground or all-background mask.
+    fn random_case(case: u64, rng: &mut Pcg32) -> (GrayFrame, Mask) {
+        let (w, h) = (1 + rng.uniform_u32(48), 1 + rng.uniform_u32(48));
+        let noise = 1 + rng.uniform_u32(40);
+        let mut diff = GrayFrame::black(w, h);
+        for p in diff.pixels_mut() {
+            *p = rng.uniform_u32(noise) as u8;
+        }
+        for _ in 0..rng.uniform_u32(4) {
+            let (x0, y0) = (rng.uniform_u32(w), rng.uniform_u32(h));
+            let level = rng.uniform_u32(256) as u8;
+            for y in y0..(y0 + 1 + rng.uniform_u32(12)).min(h) {
+                for x in x0..(x0 + 1 + rng.uniform_u32(16)).min(w) {
+                    diff.set(x, y, level.saturating_sub(rng.uniform_u32(30) as u8));
+                }
+            }
+        }
+        let threshold = rng.uniform_u32(256) as u8;
+        let flip = rng.next_f64() * 0.2;
+        let mut mask = Mask::empty(w, h);
+        for (m, &p) in mask.as_mut_slice().iter_mut().zip(diff.pixels()) {
+            *m = match case % 8 {
+                0 => true,
+                1 => false,
+                _ => (p > threshold) != (rng.next_f64() < flip),
+            };
+        }
+        (diff, mask)
+    }
+
+    #[test]
+    fn histogram_sweeps_match_per_pixel_sweeps() {
+        let mut rng = Pcg32::seeded(0x5bc9e);
+        let mut iterations = [0usize; MAX_ITERS + 1];
+        for case in 0..512 {
+            let (diff, mask) = random_case(case, &mut rng);
+            let r = assert_same(&diff, &mask, &format!("case {case}"));
+            iterations[r.iterations] += 1;
+        }
+        // The cases reach past the first sweep, not just the shortcuts.
+        assert!(iterations[3..].iter().sum::<usize>() > 0, "{iterations:?}");
+    }
+
+    #[test]
+    fn histogram_sweeps_match_at_the_iteration_cap() {
+        // A bell of values seeded with only the brightest pixel: 2-means
+        // crawls toward the centre and is still moving at MAX_ITERS.
+        let mut values = Vec::new();
+        for v in 0..=255u8 {
+            let z = (v as f64 - 127.5) / 14.0;
+            let count = 1 + (300.0 * (-z * z / 2.0).exp()) as usize;
+            values.extend(std::iter::repeat_n(v, count));
+        }
+        let mut diff = GrayFrame::black(values.len() as u32, 1);
+        diff.pixels_mut().copy_from_slice(&values);
+        let mut mask = Mask::empty(values.len() as u32, 1);
+        for (m, &v) in mask.as_mut_slice().iter_mut().zip(&values) {
+            *m = v == 255;
+        }
+        let r = assert_same(&diff, &mask, "iteration cap");
+        assert_eq!(r.iterations, MAX_ITERS);
+        // Still changing: one more sweep would move pixels.
+        assert_ne!(refine_per_pixel(&diff, &r.mask).iterations, 1);
+    }
+
+    #[test]
+    fn histogram_sweeps_match_on_degenerate_partitions() {
+        let diff = GrayFrame::filled(5, 3, 9);
+        let mut full = Mask::empty(5, 3);
+        full.as_mut_slice().fill(true);
+        assert_same(&diff, &full, "all foreground");
+        assert_same(&diff, &Mask::empty(5, 3), "all background");
+        // Two classes at first, but every value sides with one mean.
+        let diff = GrayFrame::filled(4, 1, 10);
+        let mut one = Mask::empty(4, 1);
+        one.set(0, 0, true);
+        assert_same(&diff, &one, "collapses after a sweep");
+        assert_same(&GrayFrame::black(0, 0), &Mask::empty(0, 0), "empty frame");
+    }
 
     /// Difference image: near-zero background with an 80-level block,
     /// plus a smeared boundary the threshold mask gets wrong.

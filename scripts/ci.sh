@@ -14,6 +14,14 @@ cargo test -q --workspace
 echo "==> TSVR_THREADS=1 cargo test -q --workspace (forced-sequential runtime)"
 TSVR_THREADS=1 cargo test -q --workspace
 
+# Repository benchmark smoke (--toy): every workload end to end, traced
+# and untraced. Its ingest gate requires the stage-by-stage replay
+# through the public vision kernels to reproduce `pipeline::process`
+# tracks bit for bit, so it runs at the default and at one thread.
+echo "==> perfbench smoke (--toy), default and TSVR_THREADS=1"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+TSVR_THREADS=1 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # The crash-consistency sweep runs with the full workspace tests above;
 # this rerun pins the fast-mode path (used for quick local iteration)
 # so a regression in the env-var gate cannot slip through. Budget: <30s.

@@ -16,8 +16,8 @@
 //!   only after its full-history checkpoint is synced to the database).
 //!   Tests, benches, and the CLI call this directly in process.
 //! * [`server`] — the TCP transport: bounded accept queue with an
-//!   explicit `overloaded` error, fixed worker pool, graceful drain on
-//!   `shutdown`.
+//!   explicit `overloaded` error, fixed worker pool, a request-line cap,
+//!   graceful drain on `shutdown`.
 //!
 //! Rankings are deterministic: a session's responses are byte-identical
 //! whether it runs alone on one thread or interleaved with other
@@ -35,7 +35,7 @@ pub use proto::{
     decode_request, decode_response, encode_request, encode_response, Envelope, ErrorKind,
     Request, Response, ServeError, SessionSummary,
 };
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_REQUEST_LINE};
 pub use service::{Service, ServiceConfig};
 
 #[cfg(test)]
@@ -518,6 +518,71 @@ mod tests {
             Response::Error(e) => assert_eq!(e.kind, ErrorKind::Overloaded),
             other => panic!("expected overloaded, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_line_is_rejected_while_others_are_served() {
+        use std::io::{BufRead, Write};
+        use std::net::TcpStream;
+        use std::time::Duration;
+        let service = Arc::new(Service::new(seeded_db(&[]), ServiceConfig::default()));
+        let server = Server::start(
+            Arc::clone(&service),
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 2,
+                queue_cap: 8,
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let ping = |stream: &TcpStream| -> Response {
+            let mut w = stream.try_clone().unwrap();
+            writeln!(w, "{}", encode_request(&Envelope::new(Request::Ping))).unwrap();
+            let mut line = String::new();
+            std::io::BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut line)
+                .unwrap();
+            decode_response(&line).unwrap()
+        };
+
+        // 2 MiB without a newline. The server stops reading at the cap
+        // and closes, so the tail of the flood may fail to send.
+        let flood = TcpStream::connect(addr).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut sender = flood.try_clone().unwrap();
+        let sending = std::thread::spawn(move || {
+            let chunk = vec![b'['; 64 << 10];
+            for _ in 0..32 {
+                if sender.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+
+        // A well-behaved client is answered meanwhile.
+        let polite = TcpStream::connect(addr).unwrap();
+        polite
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(ping(&polite), Response::Pong);
+
+        let mut line = String::new();
+        std::io::BufReader::new(flood)
+            .read_line(&mut line)
+            .expect("an error line, not a stalled connection");
+        match decode_response(&line).unwrap() {
+            Response::Error(e) => {
+                assert_eq!(e.kind, ErrorKind::BadRequest);
+                assert!(e.message.contains(&MAX_REQUEST_LINE.to_string()), "{e:?}");
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+        sending.join().unwrap();
+        assert_eq!(ping(&polite), Response::Pong);
         server.shutdown();
     }
 }

@@ -8,6 +8,13 @@
 //! and drops it. Clients therefore always get an explicit signal — they
 //! are never silently parked behind an unbounded backlog.
 //!
+//! ## Request size
+//!
+//! A request line may hold at most [`MAX_REQUEST_LINE`] bytes before its
+//! newline. A longer line gets one `bad_request` error line and the
+//! connection is closed, so a client that never sends a newline cannot
+//! grow a worker's buffer without bound.
+//!
 //! ## Shutdown & drain
 //!
 //! A `shutdown` request (or [`Server::shutdown`]) flips the stop flag.
@@ -19,7 +26,7 @@
 //! loses a round a client saw confirmed.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -28,6 +35,9 @@ use std::time::Duration;
 
 use crate::proto::{self, ErrorKind, Request, Response, ServeError};
 use crate::service::Service;
+
+/// Longest request line the server reads, newline excluded: 1 MiB.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Transport tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -223,14 +233,15 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // `read_line` may return a timeout error after consuming a
-        // partial line into `line`; looping without clearing keeps
-        // accumulating until the newline arrives.
+        // A read timeout may return after appending a partial line;
+        // looping without clearing keeps accumulating until the newline
+        // arrives. `take` stops the line one byte past the cap.
         let n = loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(n) => break n,
                 Err(e)
                     if e.kind() == IoErrorKind::WouldBlock
@@ -243,13 +254,24 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 Err(_) => return,
             }
         };
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            let resp = Response::Error(ServeError::new(
+                ErrorKind::BadRequest,
+                format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"),
+            ));
+            let _ = writeln!(writer, "{}", proto::encode_response(&resp));
+            return;
+        }
         if n == 0 {
             return; // EOF: client hung up.
         }
-        if line.trim().is_empty() {
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return; // Not text: drop the connection.
+        };
+        if text.trim().is_empty() {
             continue;
         }
-        let decoded = proto::decode_request(&line);
+        let decoded = proto::decode_request(text);
         let is_shutdown = matches!(
             decoded,
             Ok(proto::Envelope {

@@ -44,79 +44,102 @@ impl Blob {
 /// `intensity` optionally supplies the original frame so blobs can carry
 /// mean intensities (used by the PCA classifier).
 pub fn extract_blobs(mask: &Mask, min_area: usize, intensity: Option<&GrayFrame>) -> Vec<Blob> {
-    let w = mask.width() as i64;
-    let h = mask.height() as i64;
-    let idx = |x: i64, y: i64| (y * w + x) as usize;
-    let mut visited = vec![false; (w * h) as usize];
+    let w = mask.width() as usize;
+    let mut visited = vec![false; mask.as_slice().len()];
     let mut blobs = Vec::new();
     let mut stack = Vec::new();
-
-    for y0 in 0..h {
-        for x0 in 0..w {
-            if visited[idx(x0, y0)] || !mask.as_slice()[idx(x0, y0)] {
-                continue;
-            }
-            // Flood fill.
-            let mut area = 0usize;
-            let mut sum = Vec2::ZERO;
-            let mut int_sum = 0.0f64;
-            let (mut min_x, mut min_y, mut max_x, mut max_y) = (x0, y0, x0, y0);
-            visited[idx(x0, y0)] = true;
-            stack.push((x0, y0));
-            while let Some((x, y)) = stack.pop() {
-                area += 1;
-                sum = sum + Vec2::new(x as f64, y as f64);
-                if let Some(f) = intensity {
-                    int_sum += f.get(x as u32, y as u32) as f64;
-                }
-                min_x = min_x.min(x);
-                min_y = min_y.min(y);
-                max_x = max_x.max(x);
-                max_y = max_y.max(y);
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        if dx == 0 && dy == 0 {
-                            continue;
-                        }
-                        let (nx, ny) = (x + dx, y + dy);
-                        if nx >= 0
-                            && ny >= 0
-                            && nx < w
-                            && ny < h
-                            && !visited[idx(nx, ny)]
-                            && mask.as_slice()[idx(nx, ny)]
-                        {
-                            visited[idx(nx, ny)] = true;
-                            stack.push((nx, ny));
-                        }
-                    }
-                }
-            }
-            if area >= min_area {
-                blobs.push(Blob {
-                    area,
-                    mbr: Aabb::from_corners(
-                        Vec2::new(min_x as f64, min_y as f64),
-                        Vec2::new(max_x as f64, max_y as f64),
-                    ),
-                    centroid: sum * (1.0 / area as f64),
-                    mean_intensity: if intensity.is_some() {
-                        int_sum / area as f64
-                    } else {
-                        0.0
-                    },
-                });
+    if w == 0 {
+        return blobs;
+    }
+    for (y0, row) in mask.as_slice().chunks_exact(w).enumerate() {
+        // Foreground is sparse: most rows are empty, and a branch-free
+        // OR over the row skips them faster than the pixel scan.
+        if !row.iter().fold(false, |any, &b| any | b) {
+            continue;
+        }
+        for (x0, &fg) in row.iter().enumerate() {
+            if fg && !visited[y0 * w + x0] {
+                let seed = (x0 as i64, y0 as i64);
+                blobs.extend(flood(mask, &mut visited, &mut stack, seed, min_area, intensity));
             }
         }
     }
-    // Deterministic order: top-left first (already guaranteed by the
-    // scan order, but make the contract explicit).
+    sort_top_left_first(&mut blobs);
+    blobs
+}
+
+/// Labels the 8-connected component of the unvisited foreground pixel
+/// `seed`, marking its pixels visited; `None` if it has fewer than
+/// `min_area` pixels.
+fn flood(
+    mask: &Mask,
+    visited: &mut [bool],
+    stack: &mut Vec<(i64, i64)>,
+    (x0, y0): (i64, i64),
+    min_area: usize,
+    intensity: Option<&GrayFrame>,
+) -> Option<Blob> {
+    let w = mask.width() as i64;
+    let h = mask.height() as i64;
+    let idx = |x: i64, y: i64| (y * w + x) as usize;
+    let mut area = 0usize;
+    let mut sum = Vec2::ZERO;
+    let mut int_sum = 0.0f64;
+    let (mut min_x, mut min_y, mut max_x, mut max_y) = (x0, y0, x0, y0);
+    visited[idx(x0, y0)] = true;
+    stack.push((x0, y0));
+    while let Some((x, y)) = stack.pop() {
+        area += 1;
+        sum = sum + Vec2::new(x as f64, y as f64);
+        if let Some(f) = intensity {
+            int_sum += f.get(x as u32, y as u32) as f64;
+        }
+        min_x = min_x.min(x);
+        min_y = min_y.min(y);
+        max_x = max_x.max(x);
+        max_y = max_y.max(y);
+        for dy in -1..=1 {
+            for dx in -1..=1 {
+                if dx == 0 && dy == 0 {
+                    continue;
+                }
+                let (nx, ny) = (x + dx, y + dy);
+                if nx >= 0
+                    && ny >= 0
+                    && nx < w
+                    && ny < h
+                    && !visited[idx(nx, ny)]
+                    && mask.as_slice()[idx(nx, ny)]
+                {
+                    visited[idx(nx, ny)] = true;
+                    stack.push((nx, ny));
+                }
+            }
+        }
+    }
+    (area >= min_area).then(|| Blob {
+        area,
+        mbr: Aabb::from_corners(
+            Vec2::new(min_x as f64, min_y as f64),
+            Vec2::new(max_x as f64, max_y as f64),
+        ),
+        centroid: sum * (1.0 / area as f64),
+        mean_intensity: if intensity.is_some() {
+            int_sum / area as f64
+        } else {
+            0.0
+        },
+    })
+}
+
+/// Deterministic order: top-left first (already guaranteed by the scan
+/// order, but make the contract explicit).
+fn sort_top_left_first(blobs: &mut [Blob]) {
     blobs.sort_by(|a, b| {
         (a.mbr.min.y, a.mbr.min.x)
             .partial_cmp(&(b.mbr.min.y, b.mbr.min.x))
             .unwrap()
     });
-    blobs
 }
 
 #[cfg(test)]
@@ -209,6 +232,75 @@ mod tests {
         assert_eq!(blobs[0].area, 15);
         // Fill ratio well below 1 for an L.
         assert!(blobs[0].fill_ratio() < 0.5);
+    }
+
+    /// The pixel-by-pixel scan `extract_blobs` replaced: the oracle for
+    /// its empty-row skipping.
+    fn extract_blobs_per_pixel(
+        mask: &Mask,
+        min_area: usize,
+        intensity: Option<&GrayFrame>,
+    ) -> Vec<Blob> {
+        let (w, h) = (mask.width() as i64, mask.height() as i64);
+        let mut visited = vec![false; mask.as_slice().len()];
+        let mut blobs = Vec::new();
+        let mut stack = Vec::new();
+        for y0 in 0..h {
+            for x0 in 0..w {
+                let i = (y0 * w + x0) as usize;
+                if visited[i] || !mask.as_slice()[i] {
+                    continue;
+                }
+                let seed = (x0, y0);
+                blobs.extend(flood(mask, &mut visited, &mut stack, seed, min_area, intensity));
+            }
+        }
+        sort_top_left_first(&mut blobs);
+        blobs
+    }
+
+    #[test]
+    fn row_skipping_matches_the_per_pixel_scan() {
+        let mut rng = tsvr_sim::Pcg32::seeded(0xb10b);
+        let shapes = [(40, 30), (1, 1), (1, 23), (31, 1), (0, 5), (5, 0), (0, 0), (64, 48)];
+        for (w, h) in shapes {
+            for case in 0..24 {
+                let mut m = Mask::empty(w, h);
+                if case % 2 == 0 {
+                    // Dense: salt-and-pepper at up to 70% cover.
+                    let cover = rng.next_f64() * 0.7;
+                    for b in m.as_mut_slice() {
+                        *b = rng.next_f64() < cover;
+                    }
+                } else if w > 0 && h > 0 {
+                    // Sparse: a few rectangles and specks on empty rows.
+                    for _ in 0..rng.uniform_u32(4) {
+                        let (x0, y0) = (rng.uniform_u32(w), rng.uniform_u32(h));
+                        for y in y0..(y0 + 1 + rng.uniform_u32(9)).min(h) {
+                            for x in x0..(x0 + 1 + rng.uniform_u32(14)).min(w) {
+                                m.set(x, y, true);
+                            }
+                        }
+                    }
+                    for _ in 0..rng.uniform_u32(5) {
+                        m.set(rng.uniform_u32(w), rng.uniform_u32(h), true);
+                    }
+                }
+                let mut frame = GrayFrame::black(w, h);
+                for p in frame.pixels_mut() {
+                    *p = rng.uniform_u32(256) as u8;
+                }
+                for min_area in [1, 3, 20] {
+                    for intensity in [None, Some(&frame)] {
+                        assert_eq!(
+                            extract_blobs(&m, min_area, intensity),
+                            extract_blobs_per_pixel(&m, min_area, intensity),
+                            "{w}x{h} case {case} min_area {min_area}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -200,8 +200,18 @@ impl Mask {
         }
         let need = min_neighbors as u8;
         let rows: Vec<&[bool]> = self.data.chunks_exact(w).collect();
+        let occupied: Vec<bool> = rows
+            .iter()
+            .map(|row| row.iter().fold(false, |any, &b| any | b))
+            .collect();
         let mut col = vec![0u8; w];
         for (y, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+            // With no set pixel in rows y-1..=y+1 every count is 0, so a
+            // threshold of at least 1 leaves the whole output row false.
+            let near = &occupied[y.saturating_sub(1)..(y + 2).min(rows.len())];
+            if need >= 1 && !near.contains(&true) {
+                continue;
+            }
             // Vertical 3-row column sums for row `y`.
             for (c, &b) in col.iter_mut().zip(rows[y]) {
                 *c = b as u8;
@@ -313,26 +323,46 @@ mod tests {
             (6, 3),
             (11, 8),
             (0, 3),
+            (3, 0),
+            (1, 17),
+            (23, 1),
+            (40, 30),
         ] {
-            let mut m = Mask::empty(w, h);
-            for b in m.as_mut_slice() {
-                *b = rng.next_f64() < 0.6;
-            }
-            for need in 0..=10 {
-                let out = m.majority_filter(need);
-                for y in 0..h {
-                    for x in 0..w {
-                        let mut n = 0;
-                        for ny in y.saturating_sub(1)..(y + 2).min(h) {
-                            for nx in x.saturating_sub(1)..(x + 2).min(w) {
-                                n += m.get(nx, ny) as u32;
-                            }
+            for dense in [true, false] {
+                let mut m = Mask::empty(w, h);
+                if dense {
+                    for b in m.as_mut_slice() {
+                        *b = rng.next_f64() < 0.6;
+                    }
+                } else if w > 0 && h > 0 {
+                    // Sparse: a few specks and a block; most rows and
+                    // row triples stay empty, so the filter skips them.
+                    for _ in 0..3 {
+                        m.set(rng.uniform_u32(w), rng.uniform_u32(h), true);
+                    }
+                    let (x0, y0) = (rng.uniform_u32(w), rng.uniform_u32(h));
+                    for y in y0..(y0 + 3).min(h) {
+                        for x in x0..(x0 + 4).min(w) {
+                            m.set(x, y, true);
                         }
-                        assert_eq!(
-                            out.get(x, y),
-                            n >= need,
-                            "{w}x{h} need {need} at ({x}, {y})"
-                        );
+                    }
+                }
+                for need in 0..=10 {
+                    let out = m.majority_filter(need);
+                    for y in 0..h {
+                        for x in 0..w {
+                            let mut n = 0;
+                            for ny in y.saturating_sub(1)..(y + 2).min(h) {
+                                for nx in x.saturating_sub(1)..(x + 2).min(w) {
+                                    n += m.get(nx, ny) as u32;
+                                }
+                            }
+                            assert_eq!(
+                                out.get(x, y),
+                                n >= need,
+                                "{w}x{h} need {need} at ({x}, {y})"
+                            );
+                        }
                     }
                 }
             }

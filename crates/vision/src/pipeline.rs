@@ -66,13 +66,16 @@ impl VisionOutput {
 /// Runs the full pipeline over a simulated clip.
 pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> VisionOutput {
     let renderer = Renderer::new(kind, sim.width, sim.height);
+    let chunk_len = tsvr_par::current_threads().max(1) * 4;
 
     // Background warm-up on empty frames (distinct noise salts from the
-    // clip itself).
+    // clip itself): the model starts from the first and learns the rest
+    // in order, rendered in parallel a chunk at a time.
     let mut bg = BackgroundModel::from_frame(&renderer.render(&[], u32::MAX));
-    for i in 0..cfg.warmup_frames {
-        let f = renderer.render(&[], u32::MAX - 1 - i);
-        bg.learn(std::slice::from_ref(&f));
+    let warmup_salts: Vec<u32> = (0..cfg.warmup_frames).map(|i| u32::MAX - 1 - i).collect();
+    for salts in warmup_salts.chunks(chunk_len) {
+        let plates = tsvr_par::par_map(salts, |_, &salt| renderer.render(&[], salt));
+        bg.learn(&plates);
     }
 
     let mut tracker = Tracker::new(cfg.tracker);
@@ -87,7 +90,6 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
     // the same values as the plain sequential loop did, so the output
     // is bit-identical regardless of the thread count; the chunk bound
     // keeps at most a few dozen decoded frames in flight.
-    let chunk_len = tsvr_par::current_threads().max(1) * 4;
     for obs_chunk in sim.frames.chunks(chunk_len) {
         // Parallel, pure: synthesize the chunk's frames.
         let frames: Vec<GrayFrame> = tsvr_par::par_map(obs_chunk, |_, obs| {

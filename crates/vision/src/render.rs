@@ -10,23 +10,49 @@
 //! or so.
 
 use crate::frame::GrayFrame;
+use std::ops::RangeInclusive;
+use std::sync::{Arc, Mutex, PoisonError};
 use tsvr_sim::road::{TUNNEL_WALL_BOTTOM, TUNNEL_WALL_TOP};
 use tsvr_sim::{ScenarioKind, Vec2, VehicleClass, VehicleObs};
 
-/// Deterministic 2-D hash noise in `[-1, 1)`, cheap enough to run on
-/// every pixel of every frame.
+/// Deterministic 2-D hash of a pixel position and a salt.
 #[inline]
-fn hash_noise(x: u32, y: u32, salt: u32) -> f64 {
-    let mut h = x
+fn hash_u32(x: u32, y: u32, salt: u32) -> u32 {
+    mix(x
         .wrapping_mul(0x9E3779B1)
         .wrapping_add(y.wrapping_mul(0x85EBCA77))
-        .wrapping_add(salt.wrapping_mul(0xC2B2AE3D));
+        .wrapping_add(salt.wrapping_mul(0xC2B2AE3D)))
+}
+
+/// The avalanche finish of [`hash_u32`].
+#[inline]
+fn mix(mut h: u32) -> u32 {
     h ^= h >> 16;
     h = h.wrapping_mul(0x7FEB352D);
     h ^= h >> 15;
     h = h.wrapping_mul(0x846CA68B);
     h ^= h >> 16;
+    h
+}
+
+/// Maps a hash to `[-1, 1]`, monotonically.
+#[inline]
+fn unit_noise(h: u32) -> f64 {
     (h as f64 / u32::MAX as f64) * 2.0 - 1.0
+}
+
+/// Deterministic 2-D hash noise in `[-1, 1]`, cheap enough to run on
+/// every pixel of every frame.
+#[inline]
+fn hash_noise(x: u32, y: u32, salt: u32) -> f64 {
+    unit_noise(hash_u32(x, y, salt))
+}
+
+/// Gray level `p` after sensor noise of amplitude `amp` at hash `h`: the
+/// `f64` definition every faster path must reproduce bit for bit.
+#[inline]
+fn noisy_level(p: u8, h: u32, amp: f64) -> u8 {
+    (p as f64 + unit_noise(h) * amp).clamp(0.0, 255.0) as u8
 }
 
 /// Base body intensity per vehicle class. Classes differ slightly so the
@@ -84,16 +110,212 @@ impl Renderer {
         for v in vehicles {
             draw_vehicle(&mut f, v);
         }
-        // Sensor noise.
-        let w = f.width();
-        for y in 0..f.height() {
-            for x in 0..w {
-                let n = hash_noise(x, y, frame_index.wrapping_mul(2654435761)) * self.noise_amp;
-                let p = f.get(x, y) as f64 + n;
-                f.set(x, y, p.clamp(0.0, 255.0) as u8);
+        add_sensor_noise(&mut f, frame_index.wrapping_mul(2654435761), self.noise_amp);
+        f
+    }
+}
+
+/// Adds sensor noise of amplitude `amp`, salted by `salt`, to every
+/// pixel: bit-identical to [`noisy_level`] at each pixel's
+/// [`hash_u32`]. A finite `amp ≥ 0` runs on integers through its
+/// [`NoiseTable`]; any other amplitude takes the `f64` definition.
+fn add_sensor_noise(f: &mut GrayFrame, salt: u32, amp: f64) {
+    let w = f.width() as usize;
+    if w == 0 {
+        return;
+    }
+    let table = NoiseTable::cached(amp);
+    let mut hashes = vec![0u32; w];
+    let mut acc = vec![0i32; w];
+    for (y, row) in f.pixels_mut().chunks_exact_mut(w).enumerate() {
+        hash_row(y as u32, salt, &mut hashes);
+        match &table {
+            Some(table) => table.apply_row(row, &hashes, &mut acc),
+            None => {
+                for (p, &h) in row.iter_mut().zip(&hashes) {
+                    *p = noisy_level(*p, h, amp);
+                }
             }
         }
-        f
+    }
+}
+
+/// `hashes[x] = hash_u32(x, y, salt)` for every `x` of one row.
+fn hash_row(y: u32, salt: u32, hashes: &mut [u32]) {
+    // The pre-mix key is affine in `x`: step it instead of multiplying.
+    let mut key = y
+        .wrapping_mul(0x85EBCA77)
+        .wrapping_add(salt.wrapping_mul(0xC2B2AE3D));
+    for h in hashes {
+        *h = mix(key);
+        key = key.wrapping_add(0x9E3779B1);
+    }
+}
+
+/// The level [`NoiseTable`] scans outward from to find its shared
+/// range: mid-gray, far from both clamps.
+const SHARED_REF_LEVEL: u8 = 128;
+
+/// Shared thresholds per compare block: one block holds the six steps
+/// of the default amplitude.
+const STEP_BLOCK: usize = 6;
+
+/// [`noisy_level`] for one amplitude as integer arithmetic on the hash.
+///
+/// For `amp ≥ 0` every step of `noisy_level` is monotone in the hash
+/// `h` — `h as f64`, the division by a positive constant, `* 2.0 - 1.0`,
+/// `* amp`, `p +`, the clamp and the truncating cast all preserve order
+/// under round-to-nearest — so for each level `p` the output is a
+/// nondecreasing step function of `h`: `base + #{t in thresholds : h ≥
+/// t}`. Each threshold is the least hash whose output reaches the next
+/// value, found by binary search on the `f64` expression itself, so the
+/// table reproduces it exactly rather than approximately.
+///
+/// Most levels also share one threshold set up to a shift:
+/// `clamp(p + offset + #{t in shared : h ≥ t}, 0, 255)`. A level joins
+/// the shared range only if that form equals the `f64` expression at
+/// `h = 0` and at every threshold of either step function — the only
+/// points where either can change, so the two agree at every hash. A row
+/// whose levels all lie in the range costs one compare-and-add pass per
+/// block of shared thresholds over the row's hashes, which vectorizes;
+/// any other row looks each pixel up in its own level's table.
+#[derive(Debug)]
+struct NoiseTable {
+    amp_bits: u64,
+    /// Contiguous levels whose output is the shared form.
+    shared_levels: RangeInclusive<u8>,
+    /// Output minus level at `h = 0`, before the clamp.
+    offset: i32,
+    /// The shared thresholds minus one (`h ≥ t` is `h > t - 1`; every
+    /// threshold is at least 1), in blocks padded with `u32::MAX`,
+    /// which no hash exceeds.
+    shared: Vec<[u32; STEP_BLOCK]>,
+    /// The exact step function of every level `0..=255`.
+    levels: Vec<Steps>,
+}
+
+/// One level's output as a step function of the hash.
+#[derive(Debug)]
+struct Steps {
+    /// Output at `h = 0`.
+    base: u8,
+    /// Least hash reaching `base + 1`, `base + 2`, ...; ascending.
+    thresholds: Vec<u32>,
+}
+
+impl Steps {
+    /// Level `p`'s step function at amplitude `amp ≥ 0`.
+    fn of(p: u8, amp: f64) -> Steps {
+        let base = noisy_level(p, 0, amp);
+        let top = noisy_level(p, u32::MAX, amp);
+        let thresholds = (base..top)
+            .map(|below| {
+                // Invariant: output(lo) <= below < output(hi).
+                let (mut lo, mut hi) = (0u32, u32::MAX);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if noisy_level(p, mid, amp) > below {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                hi
+            })
+            .collect();
+        Steps { base, thresholds }
+    }
+
+    #[inline]
+    fn at(&self, h: u32) -> u8 {
+        self.base + self.thresholds.iter().filter(|&&t| h >= t).count() as u8
+    }
+}
+
+/// How many of a block's shared thresholds `h` has reached.
+#[inline]
+fn steps_in(block: &[u32; STEP_BLOCK], h: u32) -> i32 {
+    block.iter().map(|&below| (h > below) as i32).sum()
+}
+
+impl NoiseTable {
+    /// The table for `amp`, built on first use and kept until another
+    /// amplitude is asked for; `None` unless `amp` is finite and `≥ 0`,
+    /// the amplitudes for which the output is monotone in the hash.
+    fn cached(amp: f64) -> Option<Arc<NoiseTable>> {
+        static LAST: Mutex<Option<Arc<NoiseTable>>> = Mutex::new(None);
+        if !(amp.is_finite() && amp >= 0.0) {
+            return None;
+        }
+        let mut last = LAST.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*last {
+            Some(table) if table.amp_bits == amp.to_bits() => Some(Arc::clone(table)),
+            _ => Some(Arc::clone(last.insert(Arc::new(NoiseTable::build(amp))))),
+        }
+    }
+
+    fn build(amp: f64) -> NoiseTable {
+        let levels: Vec<Steps> = (0..=255).map(|p| Steps::of(p, amp)).collect();
+        let reference = &levels[SHARED_REF_LEVEL as usize];
+        let mut table = NoiseTable {
+            amp_bits: amp.to_bits(),
+            shared_levels: SHARED_REF_LEVEL..=SHARED_REF_LEVEL,
+            offset: reference.base as i32 - SHARED_REF_LEVEL as i32,
+            shared: reference
+                .thresholds
+                .chunks(STEP_BLOCK)
+                .map(|ts| {
+                    let mut block = [u32::MAX; STEP_BLOCK];
+                    for (b, &t) in block.iter_mut().zip(ts) {
+                        *b = t - 1;
+                    }
+                    block
+                })
+                .collect(),
+            levels: Vec::new(),
+        };
+        let fits = |p: &u8| {
+            std::iter::once(&0)
+                .chain(&reference.thresholds)
+                .chain(&levels[*p as usize].thresholds)
+                .all(|&h| table.shared_at(*p, h) == noisy_level(*p, h, amp))
+        };
+        let lo = (0..SHARED_REF_LEVEL).rev().take_while(fits).last();
+        let hi = (SHARED_REF_LEVEL + 1..=255).take_while(fits).last();
+        table.shared_levels = lo.unwrap_or(SHARED_REF_LEVEL)..=hi.unwrap_or(SHARED_REF_LEVEL);
+        table.levels = levels;
+        table
+    }
+
+    /// The shared form at level `p` and hash `h`.
+    fn shared_at(&self, p: u8, h: u32) -> u8 {
+        let steps: i32 = self.shared.iter().map(|block| steps_in(block, h)).sum();
+        (p as i32 + self.offset + steps).clamp(0, 255) as u8
+    }
+
+    /// Noise for one row given its hashes; `acc` is scratch of the row's
+    /// length.
+    fn apply_row(&self, row: &mut [u8], hashes: &[u32], acc: &mut [i32]) {
+        let (lo, hi) = row
+            .iter()
+            .fold((u8::MAX, u8::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        if self.shared_levels.contains(&lo) && self.shared_levels.contains(&hi) {
+            for (a, &p) in acc.iter_mut().zip(row.iter()) {
+                *a = p as i32 + self.offset;
+            }
+            for block in &self.shared {
+                for (a, &h) in acc.iter_mut().zip(hashes) {
+                    *a += steps_in(block, h);
+                }
+            }
+            for (p, &a) in row.iter_mut().zip(acc.iter()) {
+                *p = a.clamp(0, 255) as u8;
+            }
+        } else {
+            for (p, &h) in row.iter_mut().zip(hashes) {
+                *p = self.levels[*p as usize].at(h);
+            }
+        }
     }
 }
 
@@ -307,6 +529,85 @@ mod tests {
         let i_suv = class_intensity(VehicleClass::Suv);
         let i_pickup = class_intensity(VehicleClass::Pickup);
         assert!(i_suv > i_car && i_car > i_pickup);
+    }
+
+    /// The shared thresholds of `table`, ascending, without padding.
+    fn shared_thresholds(table: &NoiseTable) -> Vec<u32> {
+        table
+            .shared
+            .iter()
+            .flatten()
+            .filter(|&&below| below != u32::MAX)
+            .map(|&below| below + 1)
+            .collect()
+    }
+
+    #[test]
+    fn noise_table_matches_f64_at_every_level_and_threshold() {
+        // Each level's output is monotone in the hash, so agreeing with
+        // the f64 definition at 0, at u32::MAX and on both sides of
+        // every threshold is agreeing at every hash.
+        let cases = [(3.0, 2..=255, 6), (5.0, 2..=255, 10), (40.0, 9..=255, 80)];
+        for (amp, shared_levels, steps) in cases {
+            let table = NoiseTable::build(amp);
+            assert_eq!(table.shared_levels, shared_levels, "amp {amp}");
+            let shared = shared_thresholds(&table);
+            assert_eq!(shared.len(), steps, "amp {amp}");
+            for p in 0..=255u8 {
+                let steps = &table.levels[p as usize];
+                let mut probes = vec![0, u32::MAX];
+                for &t in steps.thresholds.iter().chain(&shared) {
+                    probes.extend([t - 1, t, t.saturating_add(1)]);
+                }
+                for h in probes {
+                    let want = noisy_level(p, h, amp);
+                    assert_eq!(steps.at(h), want, "amp {amp} level {p} hash {h}");
+                    if table.shared_levels.contains(&p) {
+                        assert_eq!(table.shared_at(p, h), want, "amp {amp} level {p} hash {h}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-pixel f64 pass the noise table replaced.
+    fn add_sensor_noise_f64(f: &mut GrayFrame, salt: u32, amp: f64) {
+        for y in 0..f.height() {
+            for x in 0..f.width() {
+                let n = hash_noise(x, y, salt) * amp;
+                let p = f.get(x, y) as f64 + n;
+                f.set(x, y, p.clamp(0.0, 255.0) as u8);
+            }
+        }
+    }
+
+    #[test]
+    fn sensor_noise_matches_the_f64_pass_on_whole_frames() {
+        let mut rng = tsvr_sim::Pcg32::seeded(0x4015e);
+        let amps = [0.0, -0.0, 0.7, 3.0, 5.0, 40.0, 300.0, -2.0, f64::NAN, f64::INFINITY];
+        for (w, h) in [(320, 240), (1, 9), (9, 1), (1, 1), (0, 4), (4, 0), (17, 13)] {
+            for case in 0..6u32 {
+                let mut f = GrayFrame::black(w, h);
+                for (i, p) in f.pixels_mut().iter_mut().enumerate() {
+                    // Mid-gray rows take the shared path; every fourth
+                    // row may hold clamp-side levels too.
+                    let row = i / w.max(1) as usize;
+                    *p = match (case, row % 4) {
+                        (0, _) => rng.uniform_u32(256) as u8,
+                        (_, 3) => [0, 1, 2, 254, 255][rng.uniform_u32(5) as usize],
+                        _ => 40 + rng.uniform_u32(160) as u8,
+                    };
+                }
+                for amp in amps {
+                    let salt = rng.next_u32();
+                    let mut got = f.clone();
+                    add_sensor_noise(&mut got, salt, amp);
+                    let mut want = f.clone();
+                    add_sensor_noise_f64(&mut want, salt, amp);
+                    assert_eq!(got, want, "{w}x{h} case {case} amp {amp}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,10 +49,7 @@ pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
     let pixels = diff.pixels();
 
     // hist[c][v]: pixels of value v in class c of the initial partition.
-    let mut hist = [[0u64; 256]; 2];
-    for (&p, &fg) in pixels.iter().zip(initial.as_slice()) {
-        hist[fg as usize][p as usize] += 1;
-    }
+    let hist = class_histogram(pixels, initial.as_slice());
     // lut[v]: the class every pixel of value v holds after the latest
     // sweep; `None` before the first, while the initial mask decides.
     let mut lut: Option<[bool; 256]> = None;
@@ -114,6 +111,40 @@ pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
         fg_mean,
         iterations,
     }
+}
+
+/// Interleaved sub-histograms in [`class_histogram`].
+const SUB_HISTOGRAMS: usize = 4;
+
+/// `hist[c][v]`: the pixels of value `v` in class `c` of `mask`.
+///
+/// Difference images are mostly long runs of equal small values, so a
+/// single counter array would make consecutive increments wait on the
+/// same counter. Pixel `i` counts into sub-histogram `i % 4` instead,
+/// and the four are summed at the end. A sub-histogram counts at most a
+/// quarter of the pixels, which `u32` holds: frame sizes are `u32`.
+fn class_histogram(pixels: &[u8], mask: &[bool]) -> [[u64; 256]; 2] {
+    let mut sub = [[0u32; 512]; SUB_HISTOGRAMS];
+    let pixel_quads = pixels.chunks_exact(SUB_HISTOGRAMS);
+    let mask_quads = mask.chunks_exact(SUB_HISTOGRAMS);
+    let tail = pixel_quads.remainder().iter().zip(mask_quads.remainder());
+    for (ps, fs) in pixel_quads.zip(mask_quads) {
+        for ((h, &p), &fg) in sub.iter_mut().zip(ps).zip(fs) {
+            h[(fg as usize) << 8 | p as usize] += 1;
+        }
+    }
+    for (&p, &fg) in tail {
+        sub[0][(fg as usize) << 8 | p as usize] += 1;
+    }
+    let mut hist = [[0u64; 256]; 2];
+    for h in &sub {
+        for (c, counts) in hist.iter_mut().enumerate() {
+            for (total, &n) in counts.iter_mut().zip(&h[c << 8..]) {
+                *total += n as u64;
+            }
+        }
+    }
+    hist
 }
 
 /// The partition a value lookup table assigns to `diff`; the initial
@@ -246,6 +277,20 @@ mod tests {
         }
         // The cases reach past the first sweep, not just the shortcuts.
         assert!(iterations[3..].iter().sum::<usize>() > 0, "{iterations:?}");
+    }
+
+    #[test]
+    fn split_histogram_counts_every_pixel_once() {
+        let mut rng = Pcg32::seeded(0x4157);
+        for len in (0..12).chain([255, 1024, 1027]) {
+            let pixels: Vec<u8> = (0..len).map(|_| rng.uniform_u32(256) as u8).collect();
+            let mask: Vec<bool> = (0..len).map(|_| rng.next_f64() < 0.3).collect();
+            let mut want = [[0u64; 256]; 2];
+            for (&p, &fg) in pixels.iter().zip(&mask) {
+                want[fg as usize][p as usize] += 1;
+            }
+            assert_eq!(class_histogram(&pixels, &mask), want, "{len} pixels");
+        }
     }
 
     #[test]

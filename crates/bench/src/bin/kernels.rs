@@ -30,7 +30,7 @@ use tsvr_mil::session::rank_scores;
 use tsvr_mil::{Bag, Instance, Learner, OcSvmMilLearner};
 use tsvr_obs::json::Json;
 use tsvr_sim::Vec2;
-use tsvr_svm::{Kernel, OneClassModel, OneClassSvm};
+use tsvr_svm::{FeatureBlock, Kernel, OneClassModel, OneClassSvm};
 use tsvr_trajectory::dtw::dtw_distance;
 
 /// Times one invocation in nanoseconds.
@@ -232,7 +232,8 @@ fn main() {
     let mut gram_identical = true;
     for _ in 0..rounds {
         let (t_naive, g_naive) = time_one(|| naive_gram(kernel, &gram_data));
-        let (t_soa, g_soa) = time_one(|| kernel.gram(&gram_data));
+        let (t_soa, g_soa) =
+            time_one(|| kernel.gram(&FeatureBlock::from_rows(&gram_data).expect("uniform rows")));
         gram_identical &= assert_bits_eq(&g_naive, &g_soa, "gram");
         gram_naive_ns.push(t_naive);
         gram_soa_ns.push(t_soa);

@@ -27,9 +27,9 @@
 use std::time::Instant;
 use tsvr_bench::harness::Bencher;
 use tsvr_core::{
-    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, heuristic_topk,
-    parse_query, prepare_clip, ClipWindows, PipelineOptions, Planner, Query, RankedWindow, Scorer,
-    NOMINAL_FPS,
+    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
+    prepare_clip, topk, ClipWindows, PipelineOptions, Planner, Query, RankedWindow, Scorer,
+    ShardWindows, NOMINAL_FPS,
 };
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
@@ -133,7 +133,14 @@ fn post_filtered_full_scan(db: &mut AnyDb, filter: &RefFilter, k: usize) -> Vec<
         });
     }
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
-    let everything = heuristic_topk(&flat, total);
+    let everything = topk(
+        &[ShardWindows {
+            shard: "all".into(),
+            clips: flat,
+        }],
+        &Scorer::Heuristic,
+        total,
+    );
     let mut kept = Vec::new();
     for r in everything {
         let meta = metas.iter().find(|m| m.clip_id == r.clip_id).unwrap();

@@ -6,11 +6,11 @@
 //!    (per-shard local top-k on `tsvr-par`, sequential merge) timed
 //!    with the pool pinned to 1 thread and to
 //!    `max(4, available_parallelism)` threads.
-//! 2. **Byte-identity** — before timing, the rankings from the sharded
-//!    path at both thread counts and from the flat single-shard path
-//!    are compared element-wise; any divergence aborts the bench. The
-//!    JSON carries the verdict so the determinism claim is recorded,
-//!    not just asserted in tests.
+//! 2. **Byte-identity** — before timing, the rankings of the real
+//!    partition at both thread counts and of the same clips as one
+//!    shard are compared element-wise; any divergence aborts the bench.
+//!    The JSON carries the verdict so the determinism claim is
+//!    recorded, not just asserted in tests.
 //! 3. **Index compression ratio** — the same index segments encoded
 //!    with the uncompressed tag-5 codec and the delta/bit-packed tag-6
 //!    codec, plus a decode round-trip check (bit-exact by `==` on the
@@ -25,7 +25,7 @@
 //! single-batch smoke mode (used by `scripts/ci.sh`).
 
 use tsvr_bench::harness::Bencher;
-use tsvr_core::{heuristic_topk, sharded_heuristic_topk, ClipWindows, ShardWindows};
+use tsvr_core::{topk, ClipWindows, Scorer, ShardWindows};
 use tsvr_mil::{Bag, Instance};
 use tsvr_obs::json::Json;
 use tsvr_viddb::codec::Writer;
@@ -171,9 +171,12 @@ fn main() {
             });
         }
     }
-    let flat: Vec<ClipWindows> = shards.iter().flat_map(|s| s.clips.clone()).collect();
-    let total_clips = flat.len();
-    let total_bags: usize = flat.iter().map(|c| c.bags.len()).sum();
+    let one_shard = [ShardWindows {
+        shard: "all".into(),
+        clips: shards.iter().flat_map(|s| s.clips.clone()).collect(),
+    }];
+    let total_clips = one_shard[0].clips.len();
+    let total_bags: usize = one_shard[0].clips.iter().map(|c| c.bags.len()).sum();
     eprintln!(
         "dataset: {} shards, {total_clips} clips, {total_bags} bags; \
          comparing 1 thread vs {many} threads (host parallelism {available})",
@@ -181,27 +184,28 @@ fn main() {
     );
 
     // ---- byte-identity (the determinism acceptance bar) ----------------
-    let single = heuristic_topk(&flat, k);
+    let h = Scorer::Heuristic;
+    let single = topk(&one_shard, &h, k);
     tsvr_par::set_threads(1);
-    let ranked_1 = sharded_heuristic_topk(&shards, k);
+    let ranked_1 = topk(&shards, &h, k);
     tsvr_par::set_threads(many);
-    let ranked_n = sharded_heuristic_topk(&shards, k);
+    let ranked_n = topk(&shards, &h, k);
     let byte_identical =
         rankings_equal(&single, &ranked_1) && rankings_equal(&ranked_1, &ranked_n);
     assert!(
         byte_identical,
-        "sharded scatter-gather rankings diverged from the single-shard path"
+        "sharded scatter-gather rankings diverged from the one-shard ranking"
     );
 
     // ---- scatter-gather timing -----------------------------------------
     let mut b = Bencher::new("shard");
     tsvr_par::set_threads(1);
     let q1 = b
-        .bench("sharded_topk/threads_1", || sharded_heuristic_topk(&shards, k))
+        .bench("sharded_topk/threads_1", || topk(&shards, &h, k))
         .ns_per_iter;
     tsvr_par::set_threads(many);
     let qn = b
-        .bench("sharded_topk/threads_n", || sharded_heuristic_topk(&shards, k))
+        .bench("sharded_topk/threads_n", || topk(&shards, &h, k))
         .ns_per_iter;
     tsvr_par::set_threads(0); // restore env/auto selection
     let speedup = q1 / qn;
@@ -264,7 +268,7 @@ fn main() {
     let pass = speedup >= target && byte_identical && ratio > 1.0;
     let note = format!(
         "{} ({pass_rule}): sharded top-k {speedup:.2}x (target {target}x) on {available} \
-         hardware thread(s); rankings byte-identical at 1/{many} threads and vs flat path; \
+         hardware thread(s); rankings byte-identical at 1/{many} threads and vs one shard; \
          compression {ratio:.2}x bit-exact",
         if pass { "PASS" } else { "FAIL" }
     );

@@ -1118,22 +1118,19 @@ fn search(args: &Args) -> Result<(), String> {
         // Deterministic cross-clip preview straight off the index,
         // scattered one task per shard (byte-identical to the
         // single-shard path at any thread count).
-        let mut by_shard: std::collections::BTreeMap<String, Vec<tsvr_core::ClipWindows>> =
-            Default::default();
-        for (id, bags, _) in &parts {
+        let shards = tsvr_core::ShardWindows::group(parts.iter().map(|(id, bags, _)| {
             let shard = db.shard_of_clip(*id).unwrap_or("-").to_string();
-            by_shard.entry(shard).or_default().push(tsvr_core::ClipWindows {
-                clip_id: *id,
-                bags: bags.clone(),
-            });
-        }
-        let shards: Vec<tsvr_core::ShardWindows> = by_shard
-            .into_iter()
-            .map(|(shard, clips)| tsvr_core::ShardWindows { shard, clips })
-            .collect();
+            (
+                shard,
+                tsvr_core::ClipWindows {
+                    clip_id: *id,
+                    bags: bags.clone(),
+                },
+            )
+        }));
         let k = args.num("top", 20)?;
         println!("heuristic top {k} (index-served):");
-        for r in tsvr_core::sharded_heuristic_topk(&shards, k) {
+        for r in tsvr_core::topk(&shards, &tsvr_core::Scorer::Heuristic, k) {
             println!(
                 "  clip {} window {} score {:.4}",
                 r.clip_id, r.window_index, r.score

@@ -12,6 +12,7 @@
 //! session can rank the entire database.
 
 use crate::query::{EventQuery, RankedWindow, TopK};
+use std::collections::BTreeMap;
 use tsvr_mil::{Bag, Instance, Learner};
 use tsvr_trajectory::checkpoint::{Alpha, FeatureConfig};
 use tsvr_viddb::ClipBundle;
@@ -130,48 +131,30 @@ pub struct ClipWindows {
     pub bags: Vec<Bag>,
 }
 
-/// Ranks every window of every clip with the event heuristic and keeps
-/// the best `k`.
-///
-/// Scoring fans out per window inside each clip (via
-/// [`tsvr_mil::heuristic::bag_scores`]' order-preserving parallel map),
-/// but the merge walks clips and windows in their given order through a
-/// bounded [`TopK`] with a full tie-break — so the result is the same
-/// byte sequence at any thread count.
-pub fn heuristic_topk(clips: &[ClipWindows], k: usize) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip");
-    let mut topk = TopK::new(k);
-    for clip in clips {
-        for (bag, score) in clip.bags.iter().zip(tsvr_mil::heuristic::bag_scores(&clip.bags)) {
-            topk.push(score, clip.clip_id, bag.id as u64);
-        }
-    }
-    topk.into_sorted()
+/// How [`topk`] scores a window's bag.
+pub enum Scorer<'a> {
+    /// The stateless event heuristic ([`tsvr_mil::heuristic::bag_score`]).
+    Heuristic,
+    /// A trained session learner.
+    Learner(&'a dyn Learner),
 }
 
-/// Like [`heuristic_topk`] but scoring with a trained learner
-/// ([`Learner::score_all`], which batches/parallelizes internally with
-/// the same bit-identical-to-`score` contract). Deterministic for the
-/// same reason: parallel scoring is order-preserving, the top-k merge
-/// is sequential and fully tie-broken.
-pub fn learner_topk<L: Learner + ?Sized>(
-    clips: &[ClipWindows],
-    learner: &L,
-    k: usize,
-) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip");
-    let mut topk = TopK::new(k);
-    for clip in clips {
-        for (bag, score) in clip.bags.iter().zip(learner.score_all(&clip.bags)) {
-            topk.push(score, clip.clip_id, bag.id as u64);
+impl Scorer<'_> {
+    /// The bag's score under this scorer. A learner's per-bag
+    /// [`Learner::score`] is bit-identical to its batched
+    /// [`Learner::score_all`].
+    pub fn score(&self, bag: &Bag) -> f64 {
+        match self {
+            Scorer::Heuristic => tsvr_mil::heuristic::bag_score(bag),
+            Scorer::Learner(l) => l.score(bag),
         }
     }
-    topk.into_sorted()
 }
 
 /// One shard's worth of clips, the unit of parallel scatter-gather:
 /// the query layer builds one `ShardWindows` per healthy
-/// [`tsvr_viddb::ShardedDb`] shard and ranks shards concurrently.
+/// [`tsvr_viddb::ShardedDb`] shard and ranks shards concurrently. A
+/// flat list of clips is the one-shard case.
 #[derive(Debug, Clone)]
 pub struct ShardWindows {
     /// Shard file name (diagnostic only; never affects ranking).
@@ -180,7 +163,30 @@ pub struct ShardWindows {
     pub clips: Vec<ClipWindows>,
 }
 
-/// Merges per-shard local top-k lists into the global top-k.
+impl ShardWindows {
+    /// Groups `(shard, clip)` pairs into one `ShardWindows` per
+    /// distinct shard name, in name order; clips keep their given
+    /// order within a shard.
+    pub fn group(clips: impl IntoIterator<Item = (String, ClipWindows)>) -> Vec<ShardWindows> {
+        let mut by_shard: BTreeMap<String, Vec<ClipWindows>> = BTreeMap::new();
+        for (shard, cw) in clips {
+            by_shard.entry(shard).or_default().push(cw);
+        }
+        by_shard
+            .into_iter()
+            .map(|(shard, clips)| ShardWindows { shard, clips })
+            .collect()
+    }
+}
+
+/// Ranks every window of every clip of every shard and keeps the best
+/// `k`.
+///
+/// Shards scatter across threads via [`tsvr_par::par_map_est`]
+/// (order-preserving); each computes its local top-k *sequentially*
+/// with [`Scorer::score`], so shard-level parallelism is not nested
+/// inside bag-level parallelism. The locals then gather through one
+/// more bounded [`TopK`].
 ///
 /// This is where the scatter-gather determinism argument lives: any
 /// window in the *global* top `k` is necessarily in its own shard's
@@ -188,62 +194,26 @@ pub struct ShardWindows {
 /// local rank), so merging locals loses nothing. And [`TopK`] is
 /// insertion-order-insensitive — its tie-break covers the full window
 /// identity `(score, clip_id, window_index)` — so the merge result
-/// does not depend on which shard's list arrives first. Together:
-/// sharded ranking is byte-identical to the single-shard path, at any
-/// thread count and any partition of clips into shards.
-fn merge_local_topk(locals: Vec<Vec<RankedWindow>>, k: usize) -> Vec<RankedWindow> {
-    let mut topk = TopK::new(k);
-    for local in locals {
-        for r in local {
-            topk.push(r.score, r.clip_id, r.window_index);
+/// does not depend on which shard's list arrives first. Together: the
+/// ranking is the same byte sequence at any thread count and any
+/// partition of the clips into shards, a single shard included.
+pub fn topk(shards: &[ShardWindows], scorer: &Scorer<'_>, k: usize) -> Vec<RankedWindow> {
+    let _span = tsvr_obs::span!("query.multiclip");
+    tsvr_obs::counter!("query.scatter.shards").add(shards.len() as u64);
+    let locals = tsvr_par::par_map_est(shards, shard_cost_hint_ns(shards), |_, shard| {
+        let mut topk = TopK::new(k);
+        for clip in &shard.clips {
+            for bag in &clip.bags {
+                topk.push(scorer.score(bag), clip.clip_id, bag.id as u64);
+            }
         }
+        topk.into_sorted()
+    });
+    let mut topk = TopK::new(k);
+    for r in locals.into_iter().flatten() {
+        topk.push(r.score, r.clip_id, r.window_index);
     }
     topk.into_sorted()
-}
-
-/// Heuristic top-k over sharded clips: shards scatter across threads
-/// via [`tsvr_par::par_map`] (order-preserving), each computes its
-/// local top-k *sequentially* (per-window [`tsvr_mil::heuristic::bag_score`],
-/// so shard-level parallelism is not nested inside bag-level
-/// parallelism), and the locals gather through [`merge_local_topk`].
-/// Byte-identical to [`heuristic_topk`] over the concatenated clips.
-pub fn sharded_heuristic_topk(shards: &[ShardWindows], k: usize) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip.sharded");
-    tsvr_obs::counter!("query.scatter.shards").add(shards.len() as u64);
-    let locals = tsvr_par::par_map_est(shards, shard_cost_hint_ns(shards), |_, shard| {
-        let mut topk = TopK::new(k);
-        for clip in &shard.clips {
-            for bag in &clip.bags {
-                topk.push(tsvr_mil::heuristic::bag_score(bag), clip.clip_id, bag.id as u64);
-            }
-        }
-        topk.into_sorted()
-    });
-    merge_local_topk(locals, k)
-}
-
-/// Learner-scored top-k over sharded clips; same scatter-gather shape
-/// and determinism argument as [`sharded_heuristic_topk`]
-/// ([`Learner::score_all`] is bit-identical to per-bag
-/// [`Learner::score`], which each shard applies sequentially).
-/// Byte-identical to [`learner_topk`] over the concatenated clips.
-pub fn sharded_learner_topk<L: Learner + Sync + ?Sized>(
-    shards: &[ShardWindows],
-    learner: &L,
-    k: usize,
-) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip.sharded");
-    tsvr_obs::counter!("query.scatter.shards").add(shards.len() as u64);
-    let locals = tsvr_par::par_map_est(shards, shard_cost_hint_ns(shards), |_, shard| {
-        let mut topk = TopK::new(k);
-        for clip in &shard.clips {
-            for bag in &clip.bags {
-                topk.push(learner.score(bag), clip.clip_id, bag.id as u64);
-            }
-        }
-        topk.into_sorted()
-    });
-    merge_local_topk(locals, k)
 }
 
 /// Estimated nanoseconds to rank one shard: the average bag count per
@@ -391,12 +361,20 @@ mod tests {
         ]
     }
 
+    /// The clips as the single shard a flat caller passes.
+    fn one_shard(clips: &[ClipWindows]) -> [ShardWindows; 1] {
+        [ShardWindows {
+            shard: "all".into(),
+            clips: clips.to_vec(),
+        }]
+    }
+
     #[test]
-    fn heuristic_topk_ranks_across_clips() {
+    fn topk_ranks_across_clips() {
         let clips = two_clip_windows();
         let total: usize = clips.iter().map(|c| c.bags.len()).sum();
         let k = 8.min(total);
-        let top = heuristic_topk(&clips, k);
+        let top = topk(&one_shard(&clips), &Scorer::Heuristic, k);
         assert_eq!(top.len(), k);
         // Best-first, fully ordered.
         for pair in top.windows(2) {
@@ -415,11 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn learner_topk_matches_learner_scores() {
+    fn learner_scorer_matches_learner_scores() {
         let clips = two_clip_windows();
         let all_bags: Vec<tsvr_mil::Bag> = clips.iter().flat_map(|c| c.bags.clone()).collect();
         let learner = LearnerKind::paper_weighted_rf().build_for(&all_bags);
-        let top = learner_topk(&clips, &learner, 5);
+        let top = topk(&one_shard(&clips), &Scorer::Learner(&learner), 5);
         assert_eq!(top.len(), 5);
         for r in &top {
             let clip = clips.iter().find(|c| c.clip_id == r.clip_id).unwrap();
@@ -432,6 +410,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn group_collects_clips_per_shard_in_name_order() {
+        let clips = two_clip_windows();
+        let shards = ShardWindows::group([
+            ("b".to_string(), clips[0].clone()),
+            ("a".to_string(), clips[1].clone()),
+            ("b".to_string(), clips[1].clone()),
+        ]);
+        let layout: Vec<(&str, Vec<u64>)> = shards
+            .iter()
+            .map(|s| {
+                (
+                    s.shard.as_str(),
+                    s.clips.iter().map(|c| c.clip_id).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(layout, vec![("a", vec![2]), ("b", vec![1, 2])]);
+        assert!(ShardWindows::group(Vec::new()).is_empty());
+    }
+
     /// Byte-level equality of two rankings.
     fn assert_rankings_identical(a: &[RankedWindow], b: &[RankedWindow]) {
         assert_eq!(a.len(), b.len());
@@ -441,20 +440,39 @@ mod tests {
         }
     }
 
-    /// Every way to split the clips into shards must give the same
-    /// bytes as the unsharded path, at one thread and at many.
+    /// Brute-force reference ranking: score every bag, map NaN to the
+    /// lowest score, fully sort by [`RankedWindow`]'s order (best
+    /// first) and cut at `k`. Shares only the scorer with [`topk`].
+    fn brute_force(clips: &[ClipWindows], scorer: &Scorer<'_>, k: usize) -> Vec<RankedWindow> {
+        let mut all: Vec<RankedWindow> = clips
+            .iter()
+            .flat_map(|c| {
+                c.bags.iter().map(|bag| RankedWindow {
+                    score: tsvr_mil::heuristic::nan_to_lowest(scorer.score(bag)),
+                    clip_id: c.clip_id,
+                    window_index: bag.id as u64,
+                })
+            })
+            .collect();
+        all.sort_by(|a, b| b.cmp(a));
+        all.truncate(k);
+        all
+    }
+
+    /// Every way to split the clips into shards must give the bytes of
+    /// a brute-force full sort, at one thread and at many, for a
+    /// truncating `k`, for `k = 0` and for `k` beyond the window count.
     #[test]
     fn sharded_topk_byte_identical_to_single_shard_at_any_thread_count() {
         let clips = two_clip_windows();
-        let k = 8;
-        let flat_h = heuristic_topk(&clips, k);
+        let total: usize = clips.iter().map(|c| c.bags.len()).sum();
         let all_bags: Vec<tsvr_mil::Bag> = clips.iter().flat_map(|c| c.bags.clone()).collect();
         let learner = LearnerKind::paper_weighted_rf().build_for(&all_bags);
-        let flat_l = learner_topk(&clips, &learner, k);
+        let scorers = [Scorer::Heuristic, Scorer::Learner(&learner)];
 
         let partitions: Vec<Vec<ShardWindows>> = vec![
             // One shard holding everything (the degenerate case).
-            vec![ShardWindows { shard: "s0".into(), clips: clips.clone() }],
+            one_shard(&clips).to_vec(),
             // One clip per shard.
             clips
                 .iter()
@@ -473,11 +491,16 @@ mod tests {
             ],
         ];
         let saved = tsvr_par::current_threads();
-        for threads in [1, 4] {
-            tsvr_par::set_threads(threads);
-            for shards in &partitions {
-                assert_rankings_identical(&sharded_heuristic_topk(shards, k), &flat_h);
-                assert_rankings_identical(&sharded_learner_topk(shards, &learner, k), &flat_l);
+        for k in [8, 0, total + 5] {
+            for scorer in &scorers {
+                let expected = brute_force(&clips, scorer, k);
+                assert_eq!(expected.len(), k.min(total));
+                for threads in [1, 4] {
+                    tsvr_par::set_threads(threads);
+                    for shards in &partitions {
+                        assert_rankings_identical(&topk(shards, scorer, k), &expected);
+                    }
+                }
             }
         }
         tsvr_par::set_threads(saved);
@@ -485,9 +508,12 @@ mod tests {
 
     #[test]
     fn sharded_topk_of_nothing_is_empty() {
-        assert!(sharded_heuristic_topk(&[], 5).is_empty());
-        let shards = [ShardWindows { shard: "empty".into(), clips: vec![] }];
-        assert!(sharded_heuristic_topk(&shards, 5).is_empty());
+        assert!(topk(&[], &Scorer::Heuristic, 5).is_empty());
+        let shards = [ShardWindows {
+            shard: "empty".into(),
+            clips: vec![],
+        }];
+        assert!(topk(&shards, &Scorer::Heuristic, 5).is_empty());
     }
 
     #[test]

@@ -21,9 +21,7 @@
 //!    archived bundle rows. Zero vision work in either case.
 //! 3. **MIL ranking over survivors only** — the surviving windows are
 //!    grouped per shard and ranked through the same
-//!    [`crate::multiclip::sharded_heuristic_topk`] /
-//!    [`crate::multiclip::sharded_learner_topk`] scatter-gather as an
-//!    unplanned scan, so the planned ranking is *byte-identical* to a
+//!    [`crate::multiclip::topk`] scatter-gather as an unplanned scan, so the planned ranking is *byte-identical* to a
 //!    full scan post-filtered by the same predicates, at any thread
 //!    count.
 //!
@@ -49,12 +47,11 @@
 
 use crate::index::{config_hash, dataset_from_segment};
 use crate::ingest::bags_from_bundle;
-use crate::multiclip::{sharded_heuristic_topk, sharded_learner_topk, ClipWindows, ShardWindows};
+use crate::multiclip::{topk, ClipWindows, Scorer, ShardWindows};
 use crate::pipeline::bags_from_dataset;
 use crate::query::{EventQuery, RankedWindow, UnknownEventName};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use tsvr_mil::Learner;
 use tsvr_sim::VehicleClass;
 use tsvr_trajectory::WindowConfig;
 use tsvr_viddb::{AnyDb, ClipStub, DbError, RouteStatus, ShardRoute};
@@ -953,14 +950,6 @@ pub struct PlanOutcome {
     pub degraded: Vec<DegradedShard>,
 }
 
-/// How stage 3 scores the surviving windows.
-pub enum Scorer<'a> {
-    /// The stateless event heuristic ([`tsvr_mil::heuristic::bag_score`]).
-    Heuristic,
-    /// A trained session learner.
-    Learner(&'a (dyn Learner + Sync)),
-}
-
 /// The progressive query planner. See the module docs for the three
 /// stages and the determinism contract.
 pub struct Planner<'a> {
@@ -1071,18 +1060,7 @@ impl<'a> Planner<'a> {
 
         // Stage 3: MIL ranking over survivors, grouped per shard and
         // merged through the deterministic scatter-gather.
-        let mut by_shard: BTreeMap<String, Vec<ClipWindows>> = BTreeMap::new();
-        for (shard, cw) in clip_windows {
-            by_shard.entry(shard).or_default().push(cw);
-        }
-        let shards: Vec<ShardWindows> = by_shard
-            .into_iter()
-            .map(|(shard, clips)| ShardWindows { shard, clips })
-            .collect();
-        let ranking = match scorer {
-            Scorer::Heuristic => sharded_heuristic_topk(&shards, self.top_k),
-            Scorer::Learner(l) => sharded_learner_topk(&shards, l, self.top_k),
-        };
+        let ranking = topk(&ShardWindows::group(clip_windows), &scorer, self.top_k);
         if !degraded.is_empty() {
             tsvr_obs::counter!("query.plan.degraded_routes").add(degraded.len() as u64);
         }

@@ -170,7 +170,8 @@ impl PartialOrd for RankedWindow {
 }
 
 impl Ord for RankedWindow {
-    /// `Greater` means *ranks better* (see [`RankedWindow::rank`]).
+    /// `Greater` means *ranks better*: higher score first, ties broken
+    /// by lower clip id then lower window index.
     fn cmp(&self, other: &Self) -> Ordering {
         self.rank(other)
     }

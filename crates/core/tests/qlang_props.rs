@@ -13,9 +13,9 @@
 
 use std::path::PathBuf;
 use tsvr_core::{
-    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, heuristic_topk,
-    parse_query, prepare_clip, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
-    PipelineOptions, Planner, Query, RankedWindow, Scorer, NOMINAL_FPS,
+    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
+    prepare_clip, topk, Clause, ClipWindows, Cmp, EventQuery, FeatureField, PipelineOptions,
+    Planner, Query, RankedWindow, Scorer, ShardWindows, NOMINAL_FPS,
 };
 use tsvr_sim::check;
 use tsvr_sim::{Pcg32, Scenario, VehicleClass};
@@ -87,7 +87,14 @@ fn build_archive(tag: &str) -> Archive {
         })
         .collect();
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
-    let full_ranking = heuristic_topk(&flat, total);
+    let full_ranking = topk(
+        &[ShardWindows {
+            shard: "all".into(),
+            clips: flat,
+        }],
+        &Scorer::Heuristic,
+        total,
+    );
     // Touch the db once so lazily opened shards are warm before cases run.
     assert_eq!(db.list_clips().len(), metas.len());
     Archive {

@@ -23,7 +23,7 @@ use crate::bag::Bag;
 use crate::heuristic;
 use crate::session::Learner;
 use std::collections::HashSet;
-use tsvr_svm::{Kernel, OneClassModel, OneClassSvm};
+use tsvr_svm::{FeatureBlock, Kernel, OneClassModel, OneClassSvm, SvmError};
 
 /// The true median of an ascending-sorted, non-empty slice: the middle
 /// element for odd lengths, the mean of the two middle elements for
@@ -208,16 +208,20 @@ impl OcSvmMilLearner {
     /// collected since the last round are evaluated, exactly the
     /// PR-5 pairwise-distance-cache strategy extended to the full
     /// retraining loop. Cache validity is independent of whether the
-    /// subsequent SMO fit converges.
-    fn update_gram(&mut self, kernel: Kernel) {
-        let n = self.training.len();
+    /// subsequent SMO fit converges. A ragged training set (vectors of
+    /// different lengths) cannot be packed into a [`FeatureBlock`]: it
+    /// is a [`SvmError::DimensionMismatch`] and leaves the cache as it
+    /// was.
+    fn update_gram(&mut self, kernel: Kernel) -> Result<(), SvmError> {
+        let block = FeatureBlock::from_rows(&self.training)?;
         if self.gram_kernel != Some(kernel) {
-            self.gram_cache = kernel.gram(&self.training);
+            self.gram_cache = kernel.gram(&block);
             self.gram_kernel = Some(kernel);
-        } else if self.gram_n < n {
-            self.gram_cache = kernel.gram_extend(&self.training, &self.gram_cache, self.gram_n);
+        } else if self.gram_n < block.len() {
+            self.gram_cache = kernel.gram_extend(&block, &self.gram_cache, self.gram_n);
         }
-        self.gram_n = n;
+        self.gram_n = block.len();
+        Ok(())
     }
 }
 
@@ -267,8 +271,8 @@ impl Learner for OcSvmMilLearner {
             let kernel = self.effective_kernel();
             let svm = OneClassSvm::new(kernel, delta);
             let fitted = if self.gram_memo {
-                self.update_gram(kernel);
-                svm.fit_with_gram(&self.training, &self.gram_cache)
+                self.update_gram(kernel)
+                    .and_then(|()| svm.fit_with_gram(&self.training, &self.gram_cache))
             } else {
                 svm.fit(&self.training)
             };
@@ -632,6 +636,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ragged_training_round_keeps_the_previous_model() {
+        // Instances of 4 and of 5 checkpoints concatenate to training
+        // vectors of 12 and 15 values, which no Gram matrix can pair.
+        let rows = |n: usize, level: f64| {
+            let mut r = hot_rows(level);
+            r.resize(n, vec![0.0; 3]);
+            r
+        };
+        let bags = vec![
+            bag(0, rows(4, 0.9)),
+            bag(1, rows(4, 0.85)),
+            bag(2, rows(5, 0.8)),
+        ];
+        let mut l = OcSvmMilLearner::new(rbf());
+        l.learn(&bags, &[(0, true), (1, true)]);
+        assert!(l.model().is_some());
+        let before = l.score(&bags[0]);
+        l.learn(&bags, &[(2, true)]);
+        assert_eq!(l.training_size(), 3, "the ragged vector was collected");
+        assert_eq!(l.score(&bags[0]).to_bits(), before.to_bits());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! sessions only contend on three short-held maps (database handle,
 //! clip cache, session table). The expensive work — scoring every bag —
 //! runs outside all service locks except the owning session's, and fans
-//! out internally on the bounded [`tsvr_par`] pool via
+//! out internally on the bounded `tsvr-par` pool via
 //! [`Learner::score_all`]. Lock order is `session state → db`; nothing
 //! acquires a session lock while holding the db lock.
 

@@ -134,18 +134,26 @@ impl Kernel {
     /// elements only, so each value is bit-identical to the scalar call.
     pub fn eval_block(&self, block: &FeatureBlock, u: &[f64], out: &mut [f64]) {
         debug_assert_eq!(out.len(), block.len());
+        self.eval_rows(block, u, 0, out);
+    }
+
+    /// The one kernel row loop behind [`eval_block`](Self::eval_block),
+    /// [`gram`](Self::gram) and [`gram_extend`](Self::gram_extend):
+    /// `K(u, block.row(lo + r))` for `r in 0..out.len()`, written to
+    /// `out` with the fused RBF/Laplacian pass.
+    fn eval_rows(&self, block: &FeatureBlock, u: &[f64], lo: usize, out: &mut [f64]) {
         match *self {
             Kernel::Rbf { gamma } => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(j));
+                for (r, o) in out.iter_mut().enumerate() {
+                    *o = vecops::sq_dist(u, block.row(lo + r));
                 }
                 for o in out.iter_mut() {
                     *o = (-gamma * *o).exp();
                 }
             }
             Kernel::Laplacian { sigma } => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(j));
+                for (r, o) in out.iter_mut().enumerate() {
+                    *o = vecops::sq_dist(u, block.row(lo + r));
                 }
                 // `vecops::dist` is `sq_dist(..).sqrt()`, so the split
                 // pass applies the same sqrt-then-exp per element.
@@ -154,60 +162,46 @@ impl Kernel {
                 }
             }
             _ => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = self.eval(u, block.row(j));
+                for (r, o) in out.iter_mut().enumerate() {
+                    *o = self.eval(u, block.row(lo + r));
                 }
             }
         }
     }
 
-    /// Precomputes the full Gram matrix of a dataset (row-major,
-    /// `n x n`). The rows are packed into a [`FeatureBlock`] so the
-    /// distance loops run cache-linearly (a ragged input falls back to
-    /// the nested-`Vec` walk with identical arithmetic). Upper-triangle
-    /// rows are evaluated in parallel on the [`tsvr_par`] runtime (row
-    /// `i` is an independent task, so the ragged row lengths
-    /// load-balance across workers) and mirrored sequentially; every
-    /// entry is the same `eval(i, j)` the sequential double loop
+    /// Precomputes the full Gram matrix of a block's rows (row-major,
+    /// `n x n`). A [`FeatureBlock`] is never ragged, so the distance
+    /// loops run cache-linearly over one contiguous buffer. Upper-
+    /// triangle rows are evaluated in parallel on the [`tsvr_par`]
+    /// runtime (row `i` is an independent task, so the ragged row
+    /// lengths load-balance across workers) and mirrored sequentially;
+    /// every entry is the same `eval(i, j)` the sequential double loop
     /// computes, so the matrix is bit-identical regardless of the
     /// thread count.
-    pub fn gram(&self, data: &[Vec<f64>]) -> Vec<f64> {
+    pub fn gram(&self, block: &FeatureBlock) -> Vec<f64> {
         // Anchor rows per parallel task. Batching rows amortizes the
         // one scratch allocation per task — per-row tasks spent ~10%
         // of small-matrix gram time in the allocator.
         const ROW_CHUNK: usize = 8;
-        let n = data.len();
+        let n = block.len();
         tsvr_obs::counter!("svm.kernel.evals").add((n * (n + 1) / 2) as u64);
         let nchunks = n.div_ceil(ROW_CHUNK);
         let span = |c: usize| (c * ROW_CHUNK, (c * ROW_CHUNK + ROW_CHUNK).min(n));
         // Chunk c holds rows lo..hi concatenated; row i is K(i, j) for
-        // j in i..n.
-        let chunks: Vec<Vec<f64>> = match FeatureBlock::from_rows(data) {
-            Ok(block) => {
-                // Fork hint: the average task is ROW_CHUNK half-rows.
-                let est =
-                    (ROW_CHUNK as u64) * (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
-                tsvr_par::par_map_index_est(nchunks, est, |c| {
-                    let (lo, hi) = span(c);
-                    let total: usize = (lo..hi).map(|i| n - i).sum();
-                    let mut buf = vec![0.0; total];
-                    let mut off = 0;
-                    for i in lo..hi {
-                        let len = n - i;
-                        self.eval_suffix(&block, i, &mut buf[off..off + len]);
-                        off += len;
-                    }
-                    buf
-                })
+        // j in i..n. Fork hint: the average task is ROW_CHUNK half-rows.
+        let est = (ROW_CHUNK as u64) * (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
+        let chunks: Vec<Vec<f64>> = tsvr_par::par_map_index_est(nchunks, est, |c| {
+            let (lo, hi) = span(c);
+            let total: usize = (lo..hi).map(|i| n - i).sum();
+            let mut buf = vec![0.0; total];
+            let mut off = 0;
+            for i in lo..hi {
+                let len = n - i;
+                self.eval_rows(block, block.row(i), i, &mut buf[off..off + len]);
+                off += len;
             }
-            Err(_) => tsvr_par::par_map_index(nchunks, |c| {
-                let (lo, hi) = span(c);
-                (lo..hi)
-                    .flat_map(|i| (i..n).map(move |j| (i, j)))
-                    .map(|(i, j)| self.eval(&data[i], &data[j]))
-                    .collect()
-            }),
-        };
+            buf
+        });
         let mut g = vec![0.0; n * n];
         for (c, buf) in chunks.iter().enumerate() {
             let (lo, hi) = span(c);
@@ -224,49 +218,21 @@ impl Kernel {
         g
     }
 
-    /// `K(row_i, row_j)` for `j in i..n`, written to `out`
-    /// (`out.len() == n - i`), with the fused RBF/Laplacian pass.
-    fn eval_suffix(&self, block: &FeatureBlock, i: usize, out: &mut [f64]) {
-        let u = block.row(i);
-        match *self {
-            Kernel::Rbf { gamma } => {
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i + off));
-                }
-                for o in out.iter_mut() {
-                    *o = (-gamma * *o).exp();
-                }
-            }
-            Kernel::Laplacian { sigma } => {
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i + off));
-                }
-                for o in out.iter_mut() {
-                    *o = (-o.sqrt() / sigma).exp();
-                }
-            }
-            _ => {
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = self.eval(u, block.row(i + off));
-                }
-            }
-        }
-    }
-
     /// Grows a Gram matrix incrementally: `old` must be this kernel's
-    /// `old_n × old_n` Gram over `data[..old_n]`; the result is the full
-    /// `n × n` Gram over `data`, computing only the entries that involve
-    /// a new row (`j >= old_n`) and copying the rest. New entries use
-    /// the same per-element arithmetic as [`gram`](Self::gram)
-    /// (`K(u, v)` and `K(v, u)` are bit-identical for every kernel here:
-    /// `x·y`, `(x−y)²` and `|x−y|` are all IEEE-commutative), so the
-    /// result is bit-identical to a full recomputation — including NaN
-    /// payloads, which flow through the same operations either way.
-    /// A mismatched `old` shape falls back to the full computation.
-    pub fn gram_extend(&self, data: &[Vec<f64>], old: &[f64], old_n: usize) -> Vec<f64> {
-        let n = data.len();
+    /// `old_n × old_n` Gram over the block's first `old_n` rows; the
+    /// result is the full `n × n` Gram over the block, computing only
+    /// the entries that involve a new row (`j >= old_n`) and copying
+    /// the rest. New entries use the same per-element arithmetic as
+    /// [`gram`](Self::gram) (`K(u, v)` and `K(v, u)` are bit-identical
+    /// for every kernel here: `x·y`, `(x−y)²` and `|x−y|` are all
+    /// IEEE-commutative), so the result is bit-identical to a full
+    /// recomputation — including NaN payloads, which flow through the
+    /// same operations either way. A mismatched `old` shape falls back
+    /// to the full computation.
+    pub fn gram_extend(&self, block: &FeatureBlock, old: &[f64], old_n: usize) -> Vec<f64> {
+        let n = block.len();
         if old_n > n || old.len() != old_n * old_n {
-            return self.gram(data);
+            return self.gram(block);
         }
         let new_pairs = n * (n + 1) / 2 - old_n * (old_n + 1) / 2;
         tsvr_obs::counter!("svm.kernel.evals").add(new_pairs as u64);
@@ -275,21 +241,13 @@ impl Kernel {
             g[i * n..i * n + old_n].copy_from_slice(&old[i * old_n..(i + 1) * old_n]);
         }
         // One task per new row j, holding K(j, 0..=j).
-        let rows: Vec<Vec<f64>> = match FeatureBlock::from_rows(data) {
-            Ok(block) => {
-                let est = (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
-                tsvr_par::par_map_index_est(n - old_n, est, |k| {
-                    let j = old_n + k;
-                    let mut row = vec![0.0; j + 1];
-                    self.eval_prefix(&block, j, &mut row);
-                    row
-                })
-            }
-            Err(_) => tsvr_par::par_map_index(n - old_n, |k| {
-                let j = old_n + k;
-                (0..=j).map(|i| self.eval(&data[j], &data[i])).collect()
-            }),
-        };
+        let est = (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
+        let rows: Vec<Vec<f64>> = tsvr_par::par_map_index_est(n - old_n, est, |k| {
+            let j = old_n + k;
+            let mut row = vec![0.0; j + 1];
+            self.eval_rows(block, block.row(j), 0, &mut row);
+            row
+        });
         for (k, row) in rows.iter().enumerate() {
             let j = old_n + k;
             for (i, &v) in row.iter().enumerate() {
@@ -298,35 +256,6 @@ impl Kernel {
             }
         }
         g
-    }
-
-    /// `K(row_j, row_i)` for `i in 0..=j`, written to `out`
-    /// (`out.len() == j + 1`), with the fused RBF/Laplacian pass.
-    fn eval_prefix(&self, block: &FeatureBlock, j: usize, out: &mut [f64]) {
-        let u = block.row(j);
-        match *self {
-            Kernel::Rbf { gamma } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i));
-                }
-                for o in out.iter_mut() {
-                    *o = (-gamma * *o).exp();
-                }
-            }
-            Kernel::Laplacian { sigma } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i));
-                }
-                for o in out.iter_mut() {
-                    *o = (-o.sqrt() / sigma).exp();
-                }
-            }
-            _ => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.eval(u, block.row(i));
-                }
-            }
-        }
     }
 }
 
@@ -438,6 +367,10 @@ mod tests {
             .collect()
     }
 
+    fn block_of(rows: &[Vec<f64>]) -> FeatureBlock {
+        FeatureBlock::from_rows(rows).unwrap()
+    }
+
     fn all_kernels() -> Vec<Kernel> {
         vec![
             Kernel::Linear,
@@ -459,8 +392,9 @@ mod tests {
     fn gram_is_bit_identical_to_scalar_eval() {
         for poison in [false, true] {
             let data = random_rows(17, 5, 42, poison);
+            let block = block_of(&data);
             for k in all_kernels() {
-                let g = k.gram(&data);
+                let g = k.gram(&block);
                 for i in 0..17 {
                     for j in i..17 {
                         let expected = k.eval(&data[i], &data[j]);
@@ -482,11 +416,12 @@ mod tests {
             for k in all_kernels() {
                 // Grow the matrix in several steps, as the retraining
                 // loop does, and compare against from-scratch at each.
-                let mut g = k.gram(&data[..5]);
+                let mut g = k.gram(&block_of(&data[..5]));
                 for &upto in &[9, 14, 23] {
                     let old_n = (g.len() as f64).sqrt() as usize;
-                    g = k.gram_extend(&data[..upto], &g, old_n);
-                    let full = k.gram(&data[..upto]);
+                    let block = block_of(&data[..upto]);
+                    g = k.gram_extend(&block, &g, old_n);
+                    let full = k.gram(&block);
                     assert_eq!(g.len(), full.len());
                     for (a, b) in g.iter().zip(&full) {
                         assert_eq!(a.to_bits(), b.to_bits(), "{k:?} poison={poison}");
@@ -498,18 +433,18 @@ mod tests {
 
     #[test]
     fn gram_extend_rejects_mismatched_old_shape() {
-        let data = random_rows(6, 3, 9, false);
+        let block = block_of(&random_rows(6, 3, 9, false));
         let k = Kernel::Rbf { gamma: 0.5 };
         // Wrong length and old_n > n both fall back to the full gram.
-        let full = k.gram(&data);
-        assert_eq!(k.gram_extend(&data, &[0.0; 5], 2), full);
-        assert_eq!(k.gram_extend(&data, &vec![0.0; 49], 7), full);
+        let full = k.gram(&block);
+        assert_eq!(k.gram_extend(&block, &[0.0; 5], 2), full);
+        assert_eq!(k.gram_extend(&block, &vec![0.0; 49], 7), full);
     }
 
     #[test]
     fn eval_block_matches_scalar_eval() {
         let data = random_rows(11, 6, 3, true);
-        let block = crate::block::FeatureBlock::from_rows(&data).unwrap();
+        let block = block_of(&data);
         let probe = &data[4];
         for k in all_kernels() {
             let mut out = vec![0.0; data.len()];
@@ -524,7 +459,7 @@ mod tests {
     fn gram_matrix_symmetric_unit_diagonal() {
         let data = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 2.0]];
         let k = Kernel::Rbf { gamma: 0.3 };
-        let g = k.gram(&data);
+        let g = k.gram(&block_of(&data));
         for i in 0..3 {
             assert!((g[i * 3 + i] - 1.0).abs() < 1e-12);
             for j in 0..3 {

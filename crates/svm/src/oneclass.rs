@@ -20,7 +20,7 @@
 // kernels; iterator rewrites obscure the subscript structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::{Kernel, SvmError};
+use crate::{FeatureBlock, Kernel, SvmError};
 
 /// Trainer configuration for the one-class SVM.
 #[derive(Debug, Clone, Copy)]
@@ -63,8 +63,9 @@ impl OneClassSvm {
         }
     }
 
-    /// Validates the trainer parameters and the training set's shape.
-    fn validate(&self, data: &[Vec<f64>]) -> Result<(), SvmError> {
+    /// Validates the trainer parameters and packs the training set
+    /// into a block (a ragged set is a [`SvmError::DimensionMismatch`]).
+    fn validate(&self, data: &[Vec<f64>]) -> Result<FeatureBlock, SvmError> {
         if data.is_empty() {
             return Err(SvmError::EmptyTrainingSet);
         }
@@ -72,22 +73,13 @@ impl OneClassSvm {
             return Err(SvmError::InvalidNu(self.nu));
         }
         self.kernel.validate()?;
-        let dim = data[0].len();
-        for v in data {
-            if v.len() != dim {
-                return Err(SvmError::DimensionMismatch {
-                    expected: dim,
-                    got: v.len(),
-                });
-            }
-        }
-        Ok(())
+        FeatureBlock::from_rows(data)
     }
 
     /// Trains on a set of (implicitly positive/"relevant") examples.
     pub fn fit(&self, data: &[Vec<f64>]) -> Result<OneClassModel, SvmError> {
-        self.validate(data)?;
-        let gram = self.kernel.gram(data);
+        let block = self.validate(data)?;
+        let gram = self.kernel.gram(&block);
         self.solve(data, &gram)
     }
 
@@ -267,7 +259,7 @@ pub struct OneClassModel {
     /// The support vectors packed into one contiguous row-major block
     /// so decision loops stream them cache-linearly (same rows, same
     /// order as `support`).
-    support_block: crate::block::FeatureBlock,
+    support_block: FeatureBlock,
 }
 
 impl OneClassModel {
@@ -281,7 +273,7 @@ impl OneClassModel {
         rho: f64,
         iterations: usize,
     ) -> OneClassModel {
-        let support_block = crate::block::FeatureBlock::from_rows(&support)
+        let support_block = FeatureBlock::from_rows(&support)
             .expect("support vectors come from a dimension-validated training set");
         OneClassModel {
             kernel,

@@ -11,7 +11,7 @@
 //! s.t.   0 ≤ α_i ≤ C,   Σ_i α_i y_i = 0
 //! ```
 
-use crate::{Kernel, SvmError};
+use crate::{FeatureBlock, Kernel, SvmError};
 
 /// Trainer configuration for the binary SVM.
 #[derive(Debug, Clone, Copy)]
@@ -54,15 +54,7 @@ impl Svc {
         if self.c <= 0.0 {
             return Err(SvmError::InvalidKernelParam(format!("C = {}", self.c)));
         }
-        let dim = data[0].len();
-        for v in data {
-            if v.len() != dim {
-                return Err(SvmError::DimensionMismatch {
-                    expected: dim,
-                    got: v.len(),
-                });
-            }
-        }
+        let block = FeatureBlock::from_rows(data)?;
         if labels.iter().all(|&l| l) || labels.iter().all(|&l| !l) {
             return Err(SvmError::InvalidKernelParam(
                 "SVC needs both classes in the training set".into(),
@@ -71,7 +63,7 @@ impl Svc {
 
         let n = data.len();
         let y: Vec<f64> = labels.iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
-        let gram = self.kernel.gram(data);
+        let gram = self.kernel.gram(&block);
         let q = |i: usize, j: usize| y[i] * y[j] * gram[i * n + j];
 
         let mut alpha = vec![0.0f64; n];
@@ -197,7 +189,7 @@ impl Svc {
                 coeffs.push(alpha[k] * y[k]);
             }
         }
-        let support_block = crate::block::FeatureBlock::from_rows(&support)
+        let support_block = FeatureBlock::from_rows(&support)
             .expect("support vectors come from a dimension-validated training set");
         Ok(SvcModel {
             kernel: self.kernel,
@@ -225,7 +217,7 @@ pub struct SvcModel {
     pub iterations: usize,
     /// Support vectors packed contiguously for the decision loop (same
     /// rows, same order as `support`).
-    support_block: crate::block::FeatureBlock,
+    support_block: FeatureBlock,
 }
 
 impl SvcModel {

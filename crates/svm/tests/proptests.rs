@@ -3,7 +3,7 @@
 
 use tsvr_sim::check;
 use tsvr_sim::Pcg32;
-use tsvr_svm::{Kernel, OneClassSvm, Svc};
+use tsvr_svm::{FeatureBlock, Kernel, OneClassSvm, Svc};
 
 /// A cluster of 3-D points with coordinates uniform in `[lo, hi)`.
 fn points(rng: &mut Pcg32, lo_n: usize, hi_n: usize, lo: f64, hi: f64) -> Vec<Vec<f64>> {
@@ -201,7 +201,7 @@ fn rbf_gram_matrix_is_psd() {
         // Mercer check: x^T G x >= 0 for random x (probe with a few
         // deterministic vectors derived from the data).
         let k = Kernel::Rbf { gamma: 0.8 };
-        let g = k.gram(&data);
+        let g = k.gram(&FeatureBlock::from_rows(&data).unwrap());
         let n = data.len();
         for probe_seed in 0..3u64 {
             let x: Vec<f64> = (0..n)

@@ -78,7 +78,8 @@ echo "==> index bench smoke run (TSVR_BENCH_FAST=1)"
     --manifest-path "$repo/Cargo.toml" -p tsvr-bench --bin index)
 
 # Shard bench smoke: proves the scatter-gather byte-identity assertion
-# (sharded vs flat path, 1 vs N threads) and the compressed index
+# (the real shard partition at 1 and N threads vs the same clips as
+# one shard, all through `topk`) and the compressed index
 # codec's bit-exact round trip end to end; the committed paper-scale
 # BENCH_shard.json stays untouched and is sanity-checked below.
 echo "==> shard bench smoke run (TSVR_BENCH_FAST=1)"
@@ -213,6 +214,12 @@ diff "$smoke/query_remote.out" "$smoke/query_local.out"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Intra-doc links are checked so a deleted or private name cannot leave
+# a dangling link in the public docs. (The `tsvr` bin/lib output
+# filename collision is a cargo warning, not a rustdoc one.)
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --workspace --no-default-features (obs probes off)"
 cargo build --workspace --no-default-features

@@ -6,7 +6,7 @@
 //! at all: the cache is an optimization, never an approximation.
 
 use tsvr_mil::{Bag, Instance, Learner, OcSvmMilLearner};
-use tsvr_svm::Kernel;
+use tsvr_svm::{FeatureBlock, Kernel};
 
 /// Deterministic xorshift so the test data is stable across runs.
 struct Rng(u64);
@@ -55,7 +55,7 @@ fn gram_extend_matches_full_gram_with_nan_rows() {
         Kernel::Laplacian { sigma: 1.3 },
     ] {
         let mut data = synth_rows(&mut rng, 6, 5);
-        let mut cached = kernel.gram(&data);
+        let mut cached = kernel.gram(&FeatureBlock::from_rows(&data).unwrap());
         let mut old_n = data.len();
         // Grow in uneven steps; step 2 introduces a NaN-poisoned row.
         for (step, grow) in [3usize, 1, 4, 2].into_iter().enumerate() {
@@ -64,9 +64,10 @@ fn gram_extend_matches_full_gram_with_nan_rows() {
                 fresh[0][1] = f64::NAN;
             }
             data.extend(fresh);
-            cached = kernel.gram_extend(&data, &cached, old_n);
+            let block = FeatureBlock::from_rows(&data).unwrap();
+            cached = kernel.gram_extend(&block, &cached, old_n);
             old_n = data.len();
-            let full = kernel.gram(&data);
+            let full = kernel.gram(&block);
             assert_bits_eq(&cached, &full, "extended gram vs full recompute");
         }
     }

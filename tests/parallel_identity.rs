@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use tsvr::core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
 use tsvr::mil::SessionConfig;
 use tsvr::sim::{Pcg32, Scenario, World};
-use tsvr::svm::Kernel;
+use tsvr::svm::{FeatureBlock, Kernel};
 use tsvr::trajectory::checkpoint::{build_series, FeatureConfig};
 use tsvr::vision;
 
@@ -73,12 +73,13 @@ fn gram_matrix_is_thread_count_invariant() {
     let data: Vec<Vec<f64>> = (0..120)
         .map(|_| (0..6).map(|_| rng.uniform(-2.0, 2.0)).collect())
         .collect();
+    let block = FeatureBlock::from_rows(&data).unwrap();
     for kernel in [
         Kernel::Rbf { gamma: 0.4 },
         Kernel::Laplacian { sigma: 1.5 },
         Kernel::Linear,
     ] {
-        let (a, b) = seq_vs_par(|| kernel.gram(&data));
+        let (a, b) = seq_vs_par(|| kernel.gram(&block));
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());

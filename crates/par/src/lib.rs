@@ -14,6 +14,10 @@
 //! ragged workloads — e.g. triangular Gram rows — balanced without any
 //! queue data structure.
 //!
+//! A fork over `n` workers spawns `n − 1` threads: the calling thread is
+//! the `n`-th worker and claims chunks like the others until none are
+//! left, then joins. Which worker runs a chunk never changes a result.
+//!
 //! ## Determinism invariant
 //!
 //! Parallel results are **bit-identical** to the sequential ones: each
@@ -39,13 +43,14 @@
 //!
 //! ## Cost-hinted fallback
 //!
-//! Spawning a scoped worker costs tens of microseconds ([`FORK_COST_NS`]).
+//! Spawning a scoped worker thread costs tens of microseconds
+//! ([`FORK_COST_NS`]); a fork of `n` workers spawns `n − 1` of them.
 //! A fork whose per-worker slice is smaller than that *loses* time to
 //! parallelism, which is invisible to the plain entry points because
 //! they cannot know how expensive one item is. The `*_est` variants
 //! ([`par_map_est`], [`par_map_index_est`]) take a caller-supplied
 //! per-item cost estimate in nanoseconds; the planner then sizes the
-//! pool so every spawned worker carries at least
+//! pool so every worker carries at least
 //! [`MIN_WORK_PER_WORKER_NS`] of estimated work and runs inline when
 //! even two workers cannot be fed. The estimate only steers the fork
 //! decision — results are bit-identical either way, because the
@@ -53,10 +58,11 @@
 //!
 //! ## Tracing
 //!
-//! Workers adopt the forking thread's [`tsvr_obs::trace`] context: when
-//! the fork happens inside a request trace, every chunk records a
-//! `par.chunk` span into that trace, so a `trace <id>` tree shows the
-//! fan-out.
+//! Spawned workers adopt the forking thread's [`tsvr_obs::trace`]
+//! context, and the forking thread keeps its own: when the fork happens
+//! inside a request trace, every chunk records a `par.chunk` span into
+//! that trace, so a `trace <id>` tree shows the fan-out, and the
+//! caller's context is the same after the fork as before it.
 //!
 //! ## Observability
 //!
@@ -154,9 +160,11 @@ fn plan_workers(work_items: usize, est_item_ns: Option<u64>) -> usize {
 /// the spawn cost dominates and the call runs inline.
 const MIN_FORK_ITEMS: usize = 2;
 
-/// Measured cost of forking one scoped worker (spawn + first chunk
+/// Measured cost of one spawned worker thread (spawn + first chunk
 /// pickup + join share) on commodity hardware — tens of microseconds.
-/// The calibration constant behind [`MIN_WORK_PER_WORKER_NS`].
+/// A fork of `n` workers pays it `n − 1` times, since the calling
+/// thread is the remaining worker. The calibration constant behind
+/// [`MIN_WORK_PER_WORKER_NS`].
 pub const FORK_COST_NS: u64 = 50_000;
 
 /// Minimum *estimated* work per spawned worker before a cost-hinted
@@ -309,27 +317,22 @@ where
     // Hand the submitting thread's trace context to every worker, so
     // chunk spans land in the request's trace instead of starting one.
     let ctx = tsvr_obs::trace::current();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let _adopted = tsvr_obs::trace::adopt(ctx);
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= nchunks {
-                        break;
-                    }
-                    let picked = Instant::now();
-                    let _span = ctx.map(|_| tsvr_obs::tspan!("par.chunk"));
-                    let lo = c * chunk;
-                    let hi = (lo + chunk).min(n);
-                    let out: Vec<R> = (lo..hi).map(&f).collect();
-                    record_chunk(fork, picked, Instant::now());
-                    done.lock().unwrap_or_else(|e| e.into_inner()).push((c, out));
-                }
-            });
+    let work = || loop {
+        let c = cursor.fetch_add(1, Ordering::Relaxed);
+        if c >= nchunks {
+            break;
         }
-    });
+        let picked = Instant::now();
+        let _span = ctx.map(|_| tsvr_obs::tspan!("par.chunk"));
+        let lo = c * chunk;
+        let hi = (lo + chunk).min(n);
+        let out: Vec<R> = (lo..hi).map(&f).collect();
+        record_chunk(fork, picked, Instant::now());
+        done.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((c, out));
+    };
+    fork_join(threads, ctx, &work);
 
     let mut parts = done.into_inner().unwrap_or_else(|e| e.into_inner());
     parts.sort_unstable_by_key(|&(c, _)| c);
@@ -376,20 +379,33 @@ where
     );
     let fork = Instant::now();
     let ctx = tsvr_obs::trace::current();
+    let work = || loop {
+        let item = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let Some((offset, run)) = item else { break };
+        let picked = Instant::now();
+        let _span = ctx.map(|_| tsvr_obs::tspan!("par.chunk"));
+        f(offset, run);
+        record_chunk(fork, picked, Instant::now());
+    };
+    fork_join(threads, ctx, &work);
+}
+
+/// Runs `work` on `threads` workers: `threads - 1` scoped threads that
+/// adopt the trace context `ctx`, and the calling thread, which already
+/// holds it. `work` claims chunks until none are left, so the caller
+/// works instead of idling in the join. A panic on the caller
+/// propagates once the spawned workers have joined (the scope waits for
+/// them before it unwinds); a panic on a spawned worker resurfaces on
+/// the caller at the join.
+fn fork_join(threads: usize, ctx: Option<tsvr_obs::trace::TraceCtx>, work: &(dyn Fn() + Sync)) {
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
+        for _ in 1..threads {
+            s.spawn(move || {
                 let _adopted = tsvr_obs::trace::adopt(ctx);
-                loop {
-                    let item = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
-                    let Some((offset, run)) = item else { break };
-                    let picked = Instant::now();
-                    let _span = ctx.map(|_| tsvr_obs::tspan!("par.chunk"));
-                    f(offset, run);
-                    record_chunk(fork, picked, Instant::now());
-                }
+                work();
             });
         }
+        work();
     });
 }
 
@@ -629,6 +645,193 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "worker panic must not be swallowed");
+    }
+
+    /// A one-way latch: spawned workers wait on it until the calling
+    /// thread opens it, which forces the interleaving a test checks. A
+    /// wait that times out opens it, so a broken runtime fails the test
+    /// instead of hanging it.
+    struct Gate {
+        open: Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn new() -> Gate {
+            Gate {
+                open: Mutex::new(false),
+                opened: std::sync::Condvar::new(),
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap_or_else(|e| e.into_inner()) = true;
+            self.opened.notify_all();
+        }
+
+        fn wait(&self) {
+            let open = self.open.lock().unwrap_or_else(|e| e.into_inner());
+            let timeout = std::time::Duration::from_secs(10);
+            let (mut open, _) = self
+                .opened
+                .wait_timeout_while(open, timeout, |open| !*open)
+                .unwrap_or_else(|e| e.into_inner());
+            *open = true;
+        }
+    }
+
+    #[test]
+    fn caller_runs_a_chunk_when_forking() {
+        let _g = lock();
+        let caller = std::thread::current().id();
+        for threads in 1..=4 {
+            with_threads(threads, || {
+                // Spawned workers block until the caller has run an
+                // item, so the caller must claim a chunk of its own.
+                let gate = Gate::new();
+                let ids = Mutex::new(std::collections::HashSet::new());
+                let run = |me| {
+                    ids.lock().unwrap_or_else(|e| e.into_inner()).insert(me);
+                    if me == caller {
+                        gate.open();
+                    } else {
+                        gate.wait();
+                    }
+                };
+                par_map_index(64, |_| run(std::thread::current().id()));
+                let seen = std::mem::take(&mut *ids.lock().unwrap_or_else(|e| e.into_inner()));
+                assert!(seen.contains(&caller), "threads = {threads}: caller idle");
+                assert!(seen.len() <= plan_workers(64, None), "threads = {threads}");
+
+                let gate_chunks = Gate::new();
+                let mut data = vec![0u8; 64];
+                par_for_chunks(&mut data, 4, |_, _| {
+                    let me = std::thread::current().id();
+                    ids.lock().unwrap_or_else(|e| e.into_inner()).insert(me);
+                    if me == caller {
+                        gate_chunks.open();
+                    } else {
+                        gate_chunks.wait();
+                    }
+                });
+                let seen = ids.into_inner().unwrap_or_else(|e| e.into_inner());
+                assert!(seen.contains(&caller), "threads = {threads}: caller idle");
+            });
+        }
+    }
+
+    #[test]
+    fn caller_panic_propagates_after_workers_join() {
+        let _g = lock();
+        let caller = std::thread::current().id();
+        for threads in 1..=4 {
+            // Spawned workers start each item only once the caller's
+            // item has begun to panic; every item they start must be
+            // finished by the time the panic reaches the caller.
+            let gate = Gate::new();
+            let started = AtomicU64::new(0);
+            let finished = AtomicU64::new(0);
+            let item = || {
+                if std::thread::current().id() == caller {
+                    gate.open();
+                    panic!("caller chunk failure");
+                }
+                gate.wait();
+                started.fetch_add(1, Ordering::SeqCst);
+                std::thread::yield_now();
+                finished.fetch_add(1, Ordering::SeqCst);
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_threads(threads, || par_map_index(64, |_| item()))
+            }));
+            let payload = result.expect_err("caller panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"caller chunk failure"),
+                "threads = {threads}"
+            );
+            let done = finished.load(Ordering::SeqCst);
+            assert_eq!(started.load(Ordering::SeqCst), done, "threads = {threads}");
+            let forked = with_threads(threads, || plan_workers(64, None)) >= 2;
+            assert_eq!(
+                done > 0,
+                forked,
+                "threads = {threads}: {done} items after the panic"
+            );
+
+            let mut data = vec![0u8; 64];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_threads(threads, || par_for_chunks(&mut data, 4, |_, _| item()))
+            }));
+            assert!(result.is_err(), "threads = {threads}");
+            assert_eq!(
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn caller_trace_context_survives_a_fork() {
+        let _g = lock();
+        // A root span makes a trace context current on this thread
+        // (none when probes are compiled out; the check still holds).
+        let _root = tsvr_obs::tspan!("par.test.root");
+        let before = tsvr_obs::trace::current();
+        assert_eq!(before.is_some(), tsvr_obs::is_enabled());
+        for threads in 1..=4 {
+            with_threads(threads, || {
+                let inside = Mutex::new(Vec::new());
+                par_map_index(64, |_| {
+                    inside
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(tsvr_obs::trace::current());
+                });
+                assert_eq!(tsvr_obs::trace::current(), before, "threads = {threads}");
+                // Every worker, spawned or not, ran inside the caller's
+                // trace.
+                let inside = inside.into_inner().unwrap_or_else(|e| e.into_inner());
+                assert!(
+                    inside
+                        .iter()
+                        .all(|c| c.map(|c| c.trace) == before.map(|c| c.trace)),
+                    "threads = {threads}"
+                );
+                let mut data = vec![0u8; 64];
+                par_for_chunks(&mut data, 4, |_, _| {});
+                assert_eq!(tsvr_obs::trace::current(), before, "threads = {threads}");
+            });
+        }
+    }
+
+    #[test]
+    fn output_order_is_identical_at_every_size_and_thread_count() {
+        let _g = lock();
+        for n in [0usize, 1, 2, 3, 17, 1000] {
+            let items: Vec<u64> = (0..n as u64).map(|i| i * 2654435761 % 1009).collect();
+            let want: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+            for threads in 1..=4 {
+                with_threads(threads, || {
+                    assert_eq!(
+                        par_map(&items, |_, x| x * 3 + 1),
+                        want,
+                        "n {n} threads {threads}"
+                    );
+                    let by_index = par_map_index(n, |i| items[i] * 3 + 1);
+                    assert_eq!(by_index, want, "n {n} threads {threads}");
+                    let mut data = items.clone();
+                    par_for_chunks(&mut data, 3, |offset, run| {
+                        for (i, v) in run.iter_mut().enumerate() {
+                            assert_eq!(*v, items[offset + i]);
+                            *v = *v * 3 + 1;
+                        }
+                    });
+                    assert_eq!(data, want, "n {n} threads {threads}");
+                });
+            }
+        }
     }
 
     #[test]

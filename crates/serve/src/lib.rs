@@ -410,6 +410,30 @@ mod tests {
     }
 
     #[test]
+    fn idle_server_shuts_down_promptly_on_loopback_and_wildcard_binds() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let service = Arc::new(Service::new(VideoDb::in_memory(), ServiceConfig::default()));
+            let server = Server::start(service, addr, ServerConfig::default()).unwrap();
+            let t0 = std::time::Instant::now();
+            server.shutdown();
+            let took = t0.elapsed();
+            assert!(took < std::time::Duration::from_secs(1), "{addr}: shutdown took {took:?}");
+        }
+    }
+
+    #[test]
+    fn drain_begun_on_the_service_stops_an_idle_server() {
+        let service = Arc::new(Service::new(VideoDb::in_memory(), ServiceConfig::default()));
+        let server =
+            Server::start(Arc::clone(&service), "0.0.0.0:0", ServerConfig::default()).unwrap();
+        let t0 = std::time::Instant::now();
+        assert_eq!(ask(&service, Request::Shutdown), Response::ShuttingDown);
+        server.join();
+        let took = t0.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "join took {took:?}");
+    }
+
+    #[test]
     fn tcp_round_trip_matches_in_process_ranking() {
         let service = Arc::new(Service::new(seeded_db(&[1]), ServiceConfig::default()));
         let reference = Service::new(seeded_db(&[1]), ServiceConfig::default());

@@ -18,8 +18,14 @@
 //! ## Shutdown & drain
 //!
 //! A `shutdown` request (or [`Server::shutdown`]) flips the stop flag.
-//! The accept thread exits (closing the listener, so new connects are
-//! refused by the OS), queued connections are still served their
+//! The accept thread blocks in `accept`, so the stop path wakes it with
+//! one loopback connection to the listener's own port (the loopback
+//! address of the same family when bound to a wildcard address); seeing
+//! the flag, it drops that connection and exits, closing the listener so
+//! new connects are refused by the OS. A drain begun on the [`Service`]
+//! directly is noticed by the idle workers, and the first of them to
+//! exit wakes the accept thread the same way. Queued connections are still
+//! served their
 //! in-flight request, and each worker closes its connection after the
 //! response it is currently producing. `learned` acks are durable
 //! before they are written (see [`crate::service`]), so a drain never
@@ -27,7 +33,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -65,6 +71,10 @@ struct Shared {
     ready: Condvar,
     stop: AtomicBool,
     queue_cap: usize,
+    /// Where a self-connect reaches the listener.
+    wake_addr: SocketAddr,
+    /// Set once the accept thread has been sent its wake-up connection.
+    woken: AtomicBool,
 }
 
 impl Shared {
@@ -76,7 +86,30 @@ impl Shared {
         self.stop.store(true, Ordering::SeqCst);
         self.service.begin_drain();
         self.ready.notify_all();
+        self.wake_accept();
     }
+
+    /// Unblocks the accept thread, once, by connecting to the listener;
+    /// callers set the stop flag or drain the service first, so the
+    /// accept thread drops the connection and exits. A refused connect
+    /// means the listener is already closed.
+    fn wake_accept(&self) {
+        if !self.woken.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
+    }
+}
+
+/// The address a connection to `bound` reaches it at: `bound` itself,
+/// or the loopback address of the same family when `bound` is a
+/// wildcard address, which is not a connect target everywhere.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A running TCP server; dropping it without [`Server::shutdown`] leaks
@@ -100,13 +133,14 @@ impl Server {
         assert!(cfg.workers >= 1, "server needs at least one worker");
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             service,
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             stop: AtomicBool::new(false),
             queue_cap: cfg.queue_cap.max(1),
+            wake_addr: wake_addr(addr),
+            woken: AtomicBool::new(false),
         });
 
         let accept = {
@@ -156,14 +190,17 @@ impl Server {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.stopping() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Once stopping, the connection is the wake-up (or a client that
+        // raced the drain): drop it unserved.
+        if shared.stopping() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 tsvr_obs::counter!("serve.accepted").incr();
                 enqueue(shared, stream);
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }
@@ -217,8 +254,12 @@ fn worker_loop(shared: &Shared) {
         };
         match stream {
             Some(s) => serve_connection(shared, s),
-            // Queue fully drained and the server is stopping.
-            None => return,
+            // Queue fully drained and the server is stopping; the accept
+            // thread may not know yet if the drain began on the service.
+            None => {
+                shared.wake_accept();
+                return;
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 //! majority filter to despeckle the mask.
 
 use crate::frame::{GrayFrame, Mask};
+use std::ops::Range;
 
 /// Per-pixel running-average background model.
 #[derive(Debug, Clone)]
@@ -66,71 +67,87 @@ impl BackgroundModel {
         mask.majority_filter(4)
     }
 
-    /// The fused, band-parallel equivalent of calling, for each frame in
-    /// clip order, [`background`](Self::background) (when `with_diff`)
-    /// and then [`subtract_and_update`](Self::subtract_and_update)
-    /// without its majority filter.
+    /// The fused, band-parallel equivalent of filling each frame of a
+    /// chunk and then, in clip order, calling
+    /// [`background`](Self::background) (when `diffs` is given) and
+    /// [`subtract_and_update`](Self::subtract_and_update) without its
+    /// majority filter.
     ///
-    /// Returns one `(diff, raw)` pair per frame: `diff` is the absolute
-    /// difference between the frame and the pre-update background
-    /// estimate (`Some` only when `with_diff`), `raw` the unfiltered
-    /// foreground mask. The model ends in exactly the state the
-    /// sequential calls leave it in.
+    /// `fill(i, rows, out)` must write rows `rows` of frame `i` into
+    /// `out`; it fills `frames[i]` band by band. After the call
+    /// `frames[i]` holds the whole frame, `diffs[i]` its absolute
+    /// difference from the pre-update background estimate and `masks[i]`
+    /// its unfiltered foreground mask. Every buffer must have the
+    /// model's size, and `diffs` and `masks` one entry per frame; the
+    /// model ends in exactly the state the sequential calls leave it in.
     ///
     /// Every pixel's model depends only on that pixel's own history, so
     /// the frame is cut into row bands that run in parallel on the
-    /// [`tsvr_par`] runtime; inside a band the frames are stepped in
-    /// order. Each band writes straight into its disjoint slices of the
-    /// returned frames and masks, and every pixel sees the same update
-    /// sequence as in the sequential loop, so the result is
-    /// bit-identical at any thread count.
-    pub fn step_frames(
+    /// [`tsvr_par`] runtime. A band fills its rows of one frame and steps
+    /// them at once, frame after frame in clip order, so the rows a
+    /// worker renders are still in its cache when the model reads them.
+    /// Each band writes only its disjoint slices of the buffers, and
+    /// every pixel sees the same update sequence as in the sequential
+    /// loop, so the result is bit-identical at any thread count. Each
+    /// band's update of one frame is timed as a `vision.segment.bg` span.
+    pub fn step_chunk<F>(
         &mut self,
-        frames: &[GrayFrame],
-        with_diff: bool,
-    ) -> Vec<(Option<GrayFrame>, Mask)> {
-        for f in frames {
-            assert_eq!(f.width(), self.width);
-            assert_eq!(f.height(), self.height);
+        fill: F,
+        frames: &mut [GrayFrame],
+        diffs: Option<&mut [GrayFrame]>,
+        masks: &mut [Mask],
+    ) where
+        F: Fn(usize, Range<u32>, &mut [u8]) + Sync,
+    {
+        let diffs = diffs.unwrap_or_default();
+        assert_eq!(masks.len(), frames.len());
+        assert!(diffs.is_empty() || diffs.len() == frames.len());
+        let shape = (self.width, self.height);
+        assert!(frames
+            .iter()
+            .chain(diffs.iter())
+            .all(|f| (f.width(), f.height()) == shape));
+        assert!(masks.iter().all(|m| (m.width(), m.height()) == shape));
+        if self.mean.is_empty() {
+            return;
         }
-        let (w, h) = (self.width, self.height);
-        let mut diffs: Vec<GrayFrame> = if with_diff {
-            frames.iter().map(|_| GrayFrame::black(w, h)).collect()
-        } else {
-            Vec::new()
-        };
-        let mut masks: Vec<Mask> = frames.iter().map(|_| Mask::empty(w, h)).collect();
-        if !self.mean.is_empty() {
-            let bands = tsvr_par::current_threads().max(1) * BANDS_PER_THREAD;
-            let band_len = (h as usize).div_ceil(bands) * w as usize;
-            let rates = self.rates();
-            let mut pixels: Vec<_> = frames.iter().map(|f| f.pixels().chunks(band_len)).collect();
-            let mut diff_cuts: Vec<_> = diffs
-                .iter_mut()
-                .map(|d| d.pixels_mut().chunks_mut(band_len))
-                .collect();
-            let mut mask_cuts: Vec<_> = masks
-                .iter_mut()
-                .map(|m| m.as_mut_slice().chunks_mut(band_len))
-                .collect();
-            let mut bands: Vec<Band> = self
-                .mean
-                .chunks_mut(band_len)
-                .map(|mean| Band {
+        let (w, h) = (self.width as usize, self.height);
+        let bands = tsvr_par::current_threads().max(1) * BANDS_PER_THREAD;
+        let band_rows = h.div_ceil(bands as u32);
+        let band_len = band_rows as usize * w;
+        let rates = self.rates();
+        let mut frame_cuts: Vec<_> = frames
+            .iter_mut()
+            .map(|f| f.pixels_mut().chunks_mut(band_len))
+            .collect();
+        let mut diff_cuts: Vec<_> = diffs
+            .iter_mut()
+            .map(|d| d.pixels_mut().chunks_mut(band_len))
+            .collect();
+        let mut mask_cuts: Vec<_> = masks
+            .iter_mut()
+            .map(|m| m.as_mut_slice().chunks_mut(band_len))
+            .collect();
+        let mut bands: Vec<Band> = self
+            .mean
+            .chunks_mut(band_len)
+            .enumerate()
+            .map(|(b, mean)| {
+                let y0 = b as u32 * band_rows;
+                Band {
+                    rows: y0..y0 + (mean.len() / w) as u32,
                     mean,
-                    pixels: pixels.iter_mut().filter_map(Iterator::next).collect(),
+                    frames: frame_cuts.iter_mut().filter_map(Iterator::next).collect(),
                     diffs: diff_cuts.iter_mut().filter_map(Iterator::next).collect(),
                     masks: mask_cuts.iter_mut().filter_map(Iterator::next).collect(),
-                })
-                .collect();
-            tsvr_par::par_for_chunks(&mut bands, 1, |_, run| {
-                for band in run {
-                    band.step(rates);
                 }
-            });
-        }
-        let mut diffs = diffs.into_iter();
-        masks.into_iter().map(|m| (diffs.next(), m)).collect()
+            })
+            .collect();
+        tsvr_par::par_for_chunks(&mut bands, 1, |_, run| {
+            for band in run {
+                band.step(&fill, rates);
+            }
+        });
     }
 
     /// Foreground classification without model update.
@@ -163,7 +180,7 @@ impl BackgroundModel {
     }
 }
 
-/// Row bands per worker thread in [`BackgroundModel::step_frames`]:
+/// Row bands per worker thread in [`BackgroundModel::step_chunk`]:
 /// a few per worker, so a worker slowed by a noisy neighbour hands the
 /// remaining bands to the others.
 const BANDS_PER_THREAD: usize = 4;
@@ -177,20 +194,24 @@ struct Rates {
     threshold: f64,
 }
 
-/// One row band of a [`BackgroundModel::step_frames`] call: the band's
-/// slice of the model and of every frame, difference image and mask.
+/// One row band of a [`BackgroundModel::step_chunk`] call: the band's
+/// rows, and its slice of the model and of every frame, difference image
+/// and mask.
 struct Band<'a> {
+    rows: Range<u32>,
     mean: &'a mut [f64],
-    pixels: Vec<&'a [u8]>,
+    frames: Vec<&'a mut [u8]>,
     diffs: Vec<&'a mut [u8]>,
     masks: Vec<&'a mut [bool]>,
 }
 
 impl Band<'_> {
-    /// Steps the band's pixels through every frame in order.
-    fn step(&mut self, rates: Rates) {
+    /// Fills and steps the band's pixels, frame by frame in order.
+    fn step<F: Fn(usize, Range<u32>, &mut [u8])>(&mut self, fill: &F, rates: Rates) {
         let mut diffs = self.diffs.iter_mut();
-        for (pixels, mask) in self.pixels.iter().zip(&mut self.masks) {
+        for (i, (pixels, mask)) in self.frames.iter_mut().zip(&mut self.masks).enumerate() {
+            fill(i, self.rows.clone(), pixels);
+            let _span = tsvr_obs::span!("vision.segment.bg");
             let diff = diffs.next().map(|d| &mut **d);
             step_band(self.mean, pixels, diff, mask, rates);
         }
@@ -361,19 +382,32 @@ mod tests {
         // Heights the band count does not divide, 1-row and 1-column
         // frames, and chunks shorter than the thread count.
         let shapes = [(32, 24), (13, 37), (7, 5), (41, 1), (1, 29), (1, 1), (0, 4)];
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 3, 4] {
             tsvr_par::set_threads(threads);
             for (w, h) in shapes {
                 let frames = noisy_frames(&mut rng, w, h, 14);
                 let mut seq = BackgroundModel::from_frame(&frames[0]);
                 let mut fused = seq.clone();
+                // Buffers reused across chunks, holding stale pixels.
+                let mut bufs = vec![GrayFrame::filled(w, h, 0xa5); 6];
+                let mut diffs = bufs.clone();
+                let mut masks = vec![Mask::empty(w, h); 6];
+                masks.iter_mut().for_each(|m| m.as_mut_slice().fill(true));
                 let mut at = 1;
                 for len in [1, 6, 2, 3, 1] {
                     let chunk = &frames[at..at + len];
                     let with_diff = len != 2;
-                    let steps = fused.step_frames(chunk, with_diff);
-                    assert_eq!(steps.len(), len);
-                    for ((diff, raw), frame) in steps.iter().zip(chunk) {
+                    let fill = |i: usize, rows: Range<u32>, out: &mut [u8]| {
+                        let px = chunk[i].pixels();
+                        out.copy_from_slice(&px[rows.start as usize * w as usize..][..out.len()]);
+                    };
+                    fused.step_chunk(
+                        fill,
+                        &mut bufs[..len],
+                        with_diff.then(|| &mut diffs[..len]),
+                        &mut masks[..len],
+                    );
+                    for (i, frame) in chunk.iter().enumerate() {
                         let what = format!("{threads} threads, {w}x{h}, frame {at}");
                         let want_diff = frame.abs_diff(&seq.background());
                         let want_raw: Vec<bool> = frame
@@ -383,12 +417,12 @@ mod tests {
                             .map(|(&p, &m)| (p as f64 - m).abs() > seq.threshold)
                             .collect();
                         let want_mask = seq.subtract_and_update(frame);
-                        match diff {
-                            Some(diff) => assert_eq!(diff, &want_diff, "{what}: diff"),
-                            None => assert!(!with_diff, "{what}: missing diff"),
+                        assert_eq!(&bufs[i], frame, "{what}: filled frame");
+                        if with_diff {
+                            assert_eq!(diffs[i], want_diff, "{what}: diff");
                         }
-                        assert_eq!(raw.as_slice(), &want_raw[..], "{what}: raw mask");
-                        assert_eq!(raw.majority_filter(4), want_mask, "{what}: mask");
+                        assert_eq!(masks[i].as_slice(), &want_raw[..], "{what}: raw mask");
+                        assert_eq!(masks[i].majority_filter(4), want_mask, "{what}: mask");
                         at += 1;
                     }
                     assert_eq!(

@@ -44,36 +44,66 @@ impl Blob {
 /// `intensity` optionally supplies the original frame so blobs can carry
 /// mean intensities (used by the PCA classifier).
 pub fn extract_blobs(mask: &Mask, min_area: usize, intensity: Option<&GrayFrame>) -> Vec<Blob> {
-    let w = mask.width() as usize;
-    let mut visited = vec![false; mask.as_slice().len()];
-    let mut blobs = Vec::new();
-    let mut stack = Vec::new();
-    if w == 0 {
-        return blobs;
-    }
-    for (y0, row) in mask.as_slice().chunks_exact(w).enumerate() {
-        // Foreground is sparse: most rows are empty, and a branch-free
-        // OR over the row skips them faster than the pixel scan.
-        if !row.iter().fold(false, |any, &b| any | b) {
-            continue;
-        }
-        for (x0, &fg) in row.iter().enumerate() {
-            if fg && !visited[y0 * w + x0] {
-                let seed = (x0 as i64, y0 as i64);
-                blobs.extend(flood(mask, &mut visited, &mut stack, seed, min_area, intensity));
-            }
-        }
-    }
-    sort_top_left_first(&mut blobs);
-    blobs
+    let mut labeler = Labeler::default();
+    labeler.label(&mut mask.clone(), min_area, intensity);
+    labeler.blobs
 }
 
-/// Labels the 8-connected component of the unvisited foreground pixel
-/// `seed`, marking its pixels visited; `None` if it has fewer than
+/// Reusable connected-component labeler: [`extract_blobs`] without the
+/// per-call allocations, for callers that label frame after frame.
+#[derive(Debug, Default)]
+pub(crate) struct Labeler {
+    stack: Vec<(i64, i64)>,
+    blobs: Vec<Blob>,
+}
+
+impl Labeler {
+    /// Labels `mask` as [`extract_blobs`] does, consuming it: every
+    /// foreground pixel is cleared as its component is labeled, so the
+    /// mask doubles as the visited set. Returns the blobs, which stay
+    /// valid until the next call; once the labeler's buffers have grown
+    /// to a clip's largest frame, labeling allocates nothing.
+    pub fn label(
+        &mut self,
+        mask: &mut Mask,
+        min_area: usize,
+        intensity: Option<&GrayFrame>,
+    ) -> &[Blob] {
+        self.blobs.clear();
+        let w = mask.width() as usize;
+        if w == 0 {
+            return &self.blobs;
+        }
+        for y0 in 0..mask.height() as usize {
+            // Foreground is sparse: most rows are empty, and a branch-free
+            // OR over the row skips them faster than the pixel scan.
+            let row = &mask.as_slice()[y0 * w..(y0 + 1) * w];
+            if !row.iter().fold(false, |any, &b| any | b) {
+                continue;
+            }
+            for x0 in 0..w {
+                if mask.as_slice()[y0 * w + x0] {
+                    let seed = (x0 as i64, y0 as i64);
+                    let blob = flood(mask, &mut self.stack, seed, min_area, intensity);
+                    self.blobs.extend(blob);
+                }
+            }
+        }
+        sort_top_left_first(&mut self.blobs);
+        &self.blobs
+    }
+
+    /// The blobs of the latest [`label`](Self::label) call.
+    pub fn blobs(&self) -> &[Blob] {
+        &self.blobs
+    }
+}
+
+/// Labels the 8-connected component of the foreground pixel `seed`,
+/// clearing its pixels from `mask`; `None` if it has fewer than
 /// `min_area` pixels.
 fn flood(
-    mask: &Mask,
-    visited: &mut [bool],
+    mask: &mut Mask,
     stack: &mut Vec<(i64, i64)>,
     (x0, y0): (i64, i64),
     min_area: usize,
@@ -82,11 +112,12 @@ fn flood(
     let w = mask.width() as i64;
     let h = mask.height() as i64;
     let idx = |x: i64, y: i64| (y * w + x) as usize;
+    let fg = mask.as_mut_slice();
     let mut area = 0usize;
     let mut sum = Vec2::ZERO;
     let mut int_sum = 0.0f64;
     let (mut min_x, mut min_y, mut max_x, mut max_y) = (x0, y0, x0, y0);
-    visited[idx(x0, y0)] = true;
+    fg[idx(x0, y0)] = false;
     stack.push((x0, y0));
     while let Some((x, y)) = stack.pop() {
         area += 1;
@@ -104,14 +135,8 @@ fn flood(
                     continue;
                 }
                 let (nx, ny) = (x + dx, y + dy);
-                if nx >= 0
-                    && ny >= 0
-                    && nx < w
-                    && ny < h
-                    && !visited[idx(nx, ny)]
-                    && mask.as_slice()[idx(nx, ny)]
-                {
-                    visited[idx(nx, ny)] = true;
+                if nx >= 0 && ny >= 0 && nx < w && ny < h && fg[idx(nx, ny)] {
+                    fg[idx(nx, ny)] = false;
                     stack.push((nx, ny));
                 }
             }
@@ -234,25 +259,62 @@ mod tests {
         assert!(blobs[0].fill_ratio() < 0.5);
     }
 
-    /// The pixel-by-pixel scan `extract_blobs` replaced: the oracle for
-    /// its empty-row skipping.
+    /// The pixel-by-pixel scan with a separate visited set that
+    /// `extract_blobs` replaced: the oracle for its empty-row skipping
+    /// and for labeling in place.
     fn extract_blobs_per_pixel(
         mask: &Mask,
         min_area: usize,
         intensity: Option<&GrayFrame>,
     ) -> Vec<Blob> {
         let (w, h) = (mask.width() as i64, mask.height() as i64);
+        let idx = |x: i64, y: i64| (y * w + x) as usize;
         let mut visited = vec![false; mask.as_slice().len()];
         let mut blobs = Vec::new();
-        let mut stack = Vec::new();
         for y0 in 0..h {
             for x0 in 0..w {
-                let i = (y0 * w + x0) as usize;
-                if visited[i] || !mask.as_slice()[i] {
+                if visited[idx(x0, y0)] || !mask.as_slice()[idx(x0, y0)] {
                     continue;
                 }
-                let seed = (x0, y0);
-                blobs.extend(flood(mask, &mut visited, &mut stack, seed, min_area, intensity));
+                let (mut area, mut sum, mut int_sum) = (0usize, Vec2::ZERO, 0.0f64);
+                let (mut min, mut max) = ((x0, y0), (x0, y0));
+                visited[idx(x0, y0)] = true;
+                let mut stack = vec![(x0, y0)];
+                while let Some((x, y)) = stack.pop() {
+                    area += 1;
+                    sum = sum + Vec2::new(x as f64, y as f64);
+                    if let Some(f) = intensity {
+                        int_sum += f.get(x as u32, y as u32) as f64;
+                    }
+                    min = (min.0.min(x), min.1.min(y));
+                    max = (max.0.max(x), max.1.max(y));
+                    for (dx, dy) in (-1..=1).flat_map(|dy| (-1..=1).map(move |dx| (dx, dy))) {
+                        let (nx, ny) = (x + dx, y + dy);
+                        if (0..w).contains(&nx)
+                            && (0..h).contains(&ny)
+                            && !visited[idx(nx, ny)]
+                            && mask.as_slice()[idx(nx, ny)]
+                        {
+                            visited[idx(nx, ny)] = true;
+                            stack.push((nx, ny));
+                        }
+                    }
+                }
+                if area >= min_area {
+                    blobs.push(Blob {
+                        area,
+                        mbr: Aabb::from_corners(
+                            Vec2::new(min.0 as f64, min.1 as f64),
+                            Vec2::new(max.0 as f64, max.1 as f64),
+                        ),
+                        centroid: sum * (1.0 / area as f64),
+                        mean_intensity: if intensity.is_some() {
+                            int_sum / area as f64
+                        } else {
+                            0.0
+                        },
+                    });
+                }
             }
         }
         sort_top_left_first(&mut blobs);
@@ -262,6 +324,7 @@ mod tests {
     #[test]
     fn row_skipping_matches_the_per_pixel_scan() {
         let mut rng = tsvr_sim::Pcg32::seeded(0xb10b);
+        let mut labeler = Labeler::default();
         let shapes = [(40, 30), (1, 1), (1, 23), (31, 1), (0, 5), (5, 0), (0, 0), (64, 48)];
         for (w, h) in shapes {
             for case in 0..24 {
@@ -292,11 +355,14 @@ mod tests {
                 }
                 for min_area in [1, 3, 20] {
                     for intensity in [None, Some(&frame)] {
-                        assert_eq!(
-                            extract_blobs(&m, min_area, intensity),
-                            extract_blobs_per_pixel(&m, min_area, intensity),
-                            "{w}x{h} case {case} min_area {min_area}"
-                        );
+                        let want = extract_blobs_per_pixel(&m, min_area, intensity);
+                        let what = format!("{w}x{h} case {case} min_area {min_area}");
+                        assert_eq!(extract_blobs(&m, min_area, intensity), want, "{what}");
+                        // One labeler reused across every case.
+                        let mut consumed = m.clone();
+                        let got = labeler.label(&mut consumed, min_area, intensity);
+                        assert_eq!(got, &want[..], "{what}: reused labeler");
+                        assert_eq!(consumed.count(), 0, "{what}: mask not consumed");
                     }
                 }
             }

@@ -73,14 +73,6 @@ impl GrayFrame {
         self.data[(y * self.width + x) as usize] = v;
     }
 
-    /// Sets the pixel if `(x, y)` is inside the frame; ignores otherwise.
-    #[inline]
-    pub fn set_clipped(&mut self, x: i64, y: i64, v: u8) {
-        if x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height {
-            self.data[(y as u32 * self.width + x as u32) as usize] = v;
-        }
-    }
-
     /// Absolute per-pixel difference `|self - other|`.
     ///
     /// This is the raw material for background subtraction; panics if
@@ -187,57 +179,71 @@ impl Mask {
     /// Morphological 3x3 majority filter: a pixel survives iff at least
     /// `min_neighbors` of its 8-neighborhood (plus itself) are set.
     /// Cleans salt-and-pepper noise out of threshold masks.
-    ///
-    /// Implemented as a separable box count (vertical column sums over a
-    /// rolling one-row buffer, then a horizontal 3-wide window) — O(1)
-    /// work per pixel instead of 9 neighborhood reads, which matters
-    /// because this runs twice per video frame.
     pub fn majority_filter(&self, min_neighbors: u32) -> Mask {
-        let w = self.width as usize;
         let mut out = Mask::empty(self.width, self.height);
+        self.majority_filter_into(min_neighbors, &mut out);
+        out
+    }
+
+    /// [`majority_filter`](Self::majority_filter) into `out`, which is
+    /// reshaped to this mask's size if it differs and otherwise reused
+    /// without allocating.
+    ///
+    /// Implemented as a separable box count — vertical 3-row column sums,
+    /// then a horizontal 3-wide window — so each pixel costs O(1) work
+    /// instead of 9 neighborhood reads, which matters because this runs
+    /// twice per video frame. The column sums of one run of a row live in
+    /// a stack buffer with a zero column on either side, so the window
+    /// needs no edge cases and the filter allocates nothing.
+    pub(crate) fn majority_filter_into(&self, min_neighbors: u32, out: &mut Mask) {
+        if (out.width, out.height) != (self.width, self.height) {
+            *out = Mask::empty(self.width, self.height);
+        }
+        let w = self.width as usize;
         if w == 0 || self.height == 0 {
-            return out;
+            return;
         }
         let need = min_neighbors as u8;
-        let rows: Vec<&[bool]> = self.data.chunks_exact(w).collect();
-        let occupied: Vec<bool> = rows
-            .iter()
-            .map(|row| row.iter().fold(false, |any, &b| any | b))
-            .collect();
-        let mut col = vec![0u8; w];
+        let row = |y: usize| &self.data[y * w..(y + 1) * w];
+        let occupied = |y: usize| row(y).iter().fold(false, |any, &b| any | b);
+        let h = self.height as usize;
+        // Occupancy of rows y-1, y and y+1 (false past the edges).
+        let (mut above, mut here) = (false, occupied(0));
+        let mut col = [0u8; FILTER_RUN + 2];
         for (y, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+            let below = y + 1 < h && occupied(y + 1);
             // With no set pixel in rows y-1..=y+1 every count is 0, so a
             // threshold of at least 1 leaves the whole output row false.
-            let near = &occupied[y.saturating_sub(1)..(y + 2).min(rows.len())];
-            if need >= 1 && !near.contains(&true) {
-                continue;
-            }
-            // Vertical 3-row column sums for row `y`.
-            for (c, &b) in col.iter_mut().zip(rows[y]) {
-                *c = b as u8;
-            }
-            for adj in [y.checked_sub(1), Some(y + 1)].into_iter().flatten() {
-                if let Some(row) = rows.get(adj) {
-                    for (c, &b) in col.iter_mut().zip(*row) {
-                        *c += b as u8;
+            if need >= 1 && !(above | here | below) {
+                out_row.fill(false);
+            } else {
+                let rows = [y.checked_sub(1), Some(y), (y + 1 < h).then_some(y + 1)];
+                for (run, out_run) in out_row.chunks_mut(FILTER_RUN).enumerate() {
+                    // col[j] is the column sum of x = x0 - 1 + j.
+                    let x0 = run * FILTER_RUN;
+                    let lo = x0.saturating_sub(1);
+                    let hi = (x0 + out_run.len() + 1).min(w);
+                    let sums = &mut col[lo + 1 - x0..hi + 1 - x0];
+                    sums.fill(0);
+                    for r in rows.into_iter().flatten() {
+                        for (c, &b) in sums.iter_mut().zip(&row(r)[lo..hi]) {
+                            *c += b as u8;
+                        }
+                    }
+                    col[0] *= (x0 > 0) as u8;
+                    col[out_run.len() + 1] *= (x0 + out_run.len() < w) as u8;
+                    for (o, t) in out_run.iter_mut().zip(col.windows(3)) {
+                        *o = t[0] + t[1] + t[2] >= need;
                     }
                 }
             }
-            // Horizontal window: interior pixels sum three column sums,
-            // the edge pixels the two that exist.
-            if w == 1 {
-                out_row[0] = col[0] >= need;
-                continue;
-            }
-            out_row[0] = col[0] + col[1] >= need;
-            for (o, t) in out_row[1..w - 1].iter_mut().zip(col.windows(3)) {
-                *o = t[0] + t[1] + t[2] >= need;
-            }
-            out_row[w - 1] = col[w - 2] + col[w - 1] >= need;
+            (above, here) = (here, below);
         }
-        out
     }
 }
+
+/// Columns per run of [`Mask::majority_filter_into`]'s row pass.
+const FILTER_RUN: usize = 512;
 
 #[cfg(test)]
 mod tests {
@@ -252,16 +258,6 @@ mod tests {
         f.set(2, 1, 200);
         assert_eq!(f.get(2, 1), 200);
         assert_eq!(f.get(0, 0), 0);
-    }
-
-    #[test]
-    fn set_clipped_ignores_outside() {
-        let mut f = GrayFrame::black(2, 2);
-        f.set_clipped(-1, 0, 9);
-        f.set_clipped(0, 5, 9);
-        f.set_clipped(1, 1, 9);
-        assert_eq!(f.get(1, 1), 9);
-        assert_eq!(f.pixels().iter().filter(|&&p| p == 9).count(), 1);
     }
 
     #[test]
@@ -363,6 +359,40 @@ mod tests {
                                 "{w}x{h} need {need} at ({x}, {y})"
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn majority_filter_into_reuses_a_dirty_buffer_across_runs() {
+        // Rows wider than one stack run, and an output buffer holding a
+        // previous frame's mask (or another shape) that must not leak.
+        let mut rng = tsvr_sim::Pcg32::seeded(0x3a1);
+        let mut out = Mask::empty(3, 3);
+        for (w, h) in [(1030, 4), (513, 3), (512, 2), (1025, 1), (700, 5), (700, 5)] {
+            let mut m = Mask::empty(w, h);
+            for b in m.as_mut_slice() {
+                *b = rng.next_f64() < 0.3;
+            }
+            for need in [0, 1, 4, 9] {
+                out.as_mut_slice().fill(true);
+                m.majority_filter_into(need, &mut out);
+                assert_eq!((out.width(), out.height()), (w, h));
+                for y in 0..h {
+                    for x in 0..w {
+                        let mut n = 0;
+                        for ny in y.saturating_sub(1)..(y + 2).min(h) {
+                            for nx in x.saturating_sub(1)..(x + 2).min(w) {
+                                n += m.get(nx, ny) as u32;
+                            }
+                        }
+                        assert_eq!(
+                            out.get(x, y),
+                            n >= need,
+                            "{w}x{h} need {need} at ({x}, {y})"
+                        );
                     }
                 }
             }

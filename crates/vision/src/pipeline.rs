@@ -6,8 +6,8 @@
 //! event features, MIL retrieval) consumes the [`Track`]s produced here.
 
 use crate::background::BackgroundModel;
-use crate::blob::{extract_blobs, Blob};
-use crate::frame::GrayFrame;
+use crate::blob::Labeler;
+use crate::frame::{GrayFrame, Mask};
 use crate::render::Renderer;
 use crate::spcpe;
 use crate::tracker::{Tracker, TrackerConfig};
@@ -65,8 +65,25 @@ impl VisionOutput {
 
 /// Runs the full pipeline over a simulated clip.
 pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> VisionOutput {
-    let renderer = Renderer::new(kind, sim.width, sim.height);
+    let (width, height) = (sim.width, sim.height);
+    let renderer = Renderer::new(kind, width, height);
     let chunk_len = tsvr_par::current_threads().max(1) * 4;
+
+    // One chunk's buffers, allocated once per clip and reused by every
+    // chunk, so the workers allocate nothing per frame.
+    let mut frames = vec![GrayFrame::black(width, height); chunk_len];
+    let mut diffs = if cfg.use_spcpe {
+        frames.clone()
+    } else {
+        Vec::new()
+    };
+    let mut raws = vec![Mask::empty(width, height); chunk_len];
+    let mut posts: Vec<PostScratch> = (0..chunk_len)
+        .map(|_| PostScratch {
+            mask: Mask::empty(width, height),
+            labeler: Labeler::default(),
+        })
+        .collect();
 
     // Background warm-up on empty frames (distinct noise salts from the
     // clip itself): the model starts from the first and learns the rest
@@ -74,8 +91,11 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
     let mut bg = BackgroundModel::from_frame(&renderer.render(&[], u32::MAX));
     let warmup_salts: Vec<u32> = (0..cfg.warmup_frames).map(|i| u32::MAX - 1 - i).collect();
     for salts in warmup_salts.chunks(chunk_len) {
-        let plates = tsvr_par::par_map(salts, |_, &salt| renderer.render(&[], salt));
-        bg.learn(&plates);
+        let plates = &mut frames[..salts.len()];
+        tsvr_par::par_for_chunks(plates, 1, |i, plate| {
+            renderer.render_rows(&[], salts[i], 0..height, plate[0].pixels_mut());
+        });
+        bg.learn(plates);
     }
 
     let mut tracker = Tracker::new(cfg.tracker);
@@ -85,46 +105,41 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
     // on the [`tsvr_par`] runtime while the tracker — the one stage
     // that needs whole frames in clip order — consumes them in exact
     // clip order. The background update is order-sensitive too, but
-    // only per pixel: it runs the chunk's frames in clip order inside
-    // each row band, with the bands in parallel. Every stage computes
-    // the same values as the plain sequential loop did, so the output
-    // is bit-identical regardless of the thread count; the chunk bound
-    // keeps at most a few dozen decoded frames in flight.
+    // only per pixel: each row band renders its own rows of the chunk's
+    // frames and steps them in clip order, with the bands in parallel.
+    // Every stage computes the same values as the plain sequential loop
+    // did, so the output is bit-identical regardless of the thread
+    // count; the chunk bound keeps at most a few dozen frames in flight.
     for obs_chunk in sim.frames.chunks(chunk_len) {
-        // Parallel, pure: synthesize the chunk's frames.
-        let frames: Vec<GrayFrame> = tsvr_par::par_map(obs_chunk, |_, obs| {
-            let _span = tsvr_obs::span!("vision.segment.render");
-            renderer.render(&obs.vehicles, obs.frame)
-        });
+        let n = obs_chunk.len();
 
-        // Band-parallel, stateful per pixel: the difference from the
-        // pre-update background estimate, the raw foreground bit and
-        // the model update, frame by frame in clip order.
-        let steps = {
-            let _span = tsvr_obs::span!("vision.segment.bg");
-            bg.step_frames(&frames, cfg.use_spcpe)
-        };
+        // Band-parallel, stateful per pixel: render each band's rows,
+        // then the difference from the pre-update background estimate,
+        // the raw foreground bit and the model update, frame by frame in
+        // clip order.
+        bg.step_chunk(
+            |i, rows, out| {
+                let _span = tsvr_obs::span!("vision.segment.render");
+                let obs = &obs_chunk[i];
+                renderer.render_rows(&obs.vehicles, obs.frame, rows, out);
+            },
+            &mut frames[..n],
+            cfg.use_spcpe.then(|| &mut diffs[..n]),
+            &mut raws[..n],
+        );
 
-        // Parallel, pure: despeckle, SPCPE refinement, blob extraction.
-        let chunk_blobs: Vec<Vec<Blob>> = tsvr_par::par_map_index(frames.len(), |i| {
-            let _span = tsvr_obs::span!("vision.segment");
-            let (diff, raw) = &steps[i];
-            let mask0 = raw.majority_filter(4);
-            let mask = match diff {
-                Some(diff) => {
-                    let _span = tsvr_obs::span!("vision.segment.spcpe");
-                    let r = spcpe::refine(diff, &mask0);
-                    tsvr_obs::histogram!("vision.spcpe.iterations").record(r.iterations as u64);
-                    r.mask.majority_filter(4)
-                }
-                None => mask0,
-            };
-            let _span = tsvr_obs::span!("vision.segment.blob");
-            extract_blobs(&mask, cfg.min_blob_area, Some(&frames[i]))
+        // Parallel, pure per frame: despeckle, SPCPE refinement, blob
+        // extraction, in the frame's reused scratch.
+        let mut work: Vec<(&mut Mask, &mut PostScratch)> =
+            raws.iter_mut().zip(posts.iter_mut()).take(n).collect();
+        tsvr_par::par_for_chunks(&mut work, 1, |i, run| {
+            let (raw, post) = &mut run[0];
+            post.segment(raw, diffs.get(i), &frames[i], cfg.min_blob_area);
         });
 
         // Sequential, stateful: feed the tracker in clip order.
-        for (obs, blobs) in obs_chunk.iter().zip(&chunk_blobs) {
+        for (obs, post) in obs_chunk.iter().zip(&posts) {
+            let blobs = post.labeler.blobs();
             tsvr_obs::counter!("vision.frames").incr();
             tsvr_obs::histogram!("vision.blobs_per_frame").record(blobs.len() as u64);
             detections_per_frame.push(blobs.len());
@@ -134,9 +149,40 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
 
     VisionOutput {
         tracks: tracker.finish(),
-        width: sim.width,
-        height: sim.height,
+        width,
+        height,
         detections_per_frame,
+    }
+}
+
+/// One frame slot's scratch for the per-frame stages after the
+/// background step, reused by every chunk of a clip.
+struct PostScratch {
+    mask: Mask,
+    labeler: Labeler,
+}
+
+impl PostScratch {
+    /// Despeckles the raw foreground mask, refines it with SPCPE when a
+    /// difference image is given, and labels the blobs into
+    /// `self.labeler`. `raw` is consumed as scratch.
+    fn segment(
+        &mut self,
+        raw: &mut Mask,
+        diff: Option<&GrayFrame>,
+        frame: &GrayFrame,
+        min_area: usize,
+    ) {
+        let _span = tsvr_obs::span!("vision.segment");
+        raw.majority_filter_into(4, &mut self.mask);
+        if let Some(diff) = diff {
+            let _span = tsvr_obs::span!("vision.segment.spcpe");
+            let (_, _, iterations) = spcpe::refine_into(diff, &self.mask, raw);
+            tsvr_obs::histogram!("vision.spcpe.iterations").record(iterations as u64);
+            raw.majority_filter_into(4, &mut self.mask);
+        }
+        let _span = tsvr_obs::span!("vision.segment.blob");
+        self.labeler.label(&mut self.mask, min_area, Some(frame));
     }
 }
 

@@ -10,7 +10,7 @@
 //! or so.
 
 use crate::frame::GrayFrame;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, Mutex, PoisonError};
 use tsvr_sim::road::{TUNNEL_WALL_BOTTOM, TUNNEL_WALL_TOP};
 use tsvr_sim::{ScenarioKind, Vec2, VehicleClass, VehicleObs};
@@ -103,48 +103,121 @@ impl Renderer {
     ///
     /// `frame_index` salts the noise so consecutive frames decorrelate.
     pub fn render(&self, vehicles: &[VehicleObs], frame_index: u32) -> GrayFrame {
-        let mut f = self.background.clone();
-        for v in vehicles {
-            draw_shadow(&mut f, v, frame_index, self.shadow_flicker);
-        }
-        for v in vehicles {
-            draw_vehicle(&mut f, v);
-        }
-        add_sensor_noise(&mut f, frame_index.wrapping_mul(2654435761), self.noise_amp);
+        let mut f = GrayFrame::black(self.background.width(), self.background.height());
+        self.render_rows(vehicles, frame_index, 0..f.height(), f.pixels_mut());
         f
+    }
+
+    /// Renders rows `rows` of the frame [`render`](Self::render) draws,
+    /// into `out` (row-major, `rows.len() × width` pixels): the plate's
+    /// rows, the shadows and vehicles clipped to them, then sensor noise
+    /// hashed by absolute row. Every pixel's value depends only on its
+    /// own position, so any split of a frame into row runs renders the
+    /// same pixels as one [`render`](Self::render) call, bit for bit.
+    ///
+    /// Panics if `rows` reaches past the frame or `out` has the wrong
+    /// length.
+    pub fn render_rows(
+        &self,
+        vehicles: &[VehicleObs],
+        frame_index: u32,
+        rows: Range<u32>,
+        out: &mut [u8],
+    ) {
+        let width = self.background.width();
+        assert!(rows.start <= rows.end && rows.end <= self.background.height());
+        let w = width as usize;
+        let plate = &self.background.pixels()[rows.start as usize * w..rows.end as usize * w];
+        out.copy_from_slice(plate);
+        let mut window = RowWindow {
+            px: out,
+            width,
+            rows,
+        };
+        for v in vehicles {
+            draw_shadow(&mut window, v, frame_index, self.shadow_flicker);
+        }
+        for v in vehicles {
+            draw_vehicle(&mut window, v);
+        }
+        add_sensor_noise(
+            window.px,
+            width,
+            window.rows.start,
+            frame_index.wrapping_mul(2654435761),
+            self.noise_amp,
+        );
     }
 }
 
-/// Adds sensor noise of amplitude `amp`, salted by `salt`, to every
-/// pixel: bit-identical to [`noisy_level`] at each pixel's
-/// [`hash_u32`]. A finite `amp ≥ 0` runs on integers through its
-/// [`NoiseTable`]; any other amplitude takes the `f64` definition.
-fn add_sensor_noise(f: &mut GrayFrame, salt: u32, amp: f64) {
-    let w = f.width() as usize;
+/// Rows `rows` of a `width`-wide frame, row-major: the part of a frame
+/// one [`Renderer::render_rows`] call draws into.
+struct RowWindow<'a> {
+    px: &'a mut [u8],
+    width: u32,
+    rows: Range<u32>,
+}
+
+impl RowWindow<'_> {
+    /// The pixels of the inclusive box `x0..=x1 × y0..=y1` that lie in
+    /// the window, as inclusive `(xs, ys)` ranges in frame coordinates;
+    /// empty ranges when they miss it.
+    fn clip(
+        &self,
+        (x0, x1): (i64, i64),
+        (y0, y1): (i64, i64),
+    ) -> (RangeInclusive<i64>, RangeInclusive<i64>) {
+        let xs = x0.max(0)..=x1.min(self.width as i64 - 1);
+        let ys = y0.max(self.rows.start as i64)..=y1.min(self.rows.end as i64 - 1);
+        (xs, ys)
+    }
+
+    #[inline]
+    fn index(&self, x: i64, y: i64) -> usize {
+        (y - self.rows.start as i64) as usize * self.width as usize + x as usize
+    }
+}
+
+/// Adds sensor noise of amplitude `amp`, salted by `salt`, to the rows
+/// of a `width`-wide frame held in `px`, the first of which is frame row
+/// `y0`: bit-identical to [`noisy_level`] at each pixel's [`hash_u32`].
+/// A finite `amp ≥ 0` runs on integers through its [`NoiseTable`]; any
+/// other amplitude takes the `f64` definition. Rows are processed in
+/// stack-held segments, so the pass allocates nothing.
+fn add_sensor_noise(px: &mut [u8], width: u32, y0: u32, salt: u32, amp: f64) {
+    let w = width as usize;
     if w == 0 {
         return;
     }
     let table = NoiseTable::cached(amp);
-    let mut hashes = vec![0u32; w];
-    let mut acc = vec![0i32; w];
-    for (y, row) in f.pixels_mut().chunks_exact_mut(w).enumerate() {
-        hash_row(y as u32, salt, &mut hashes);
-        match &table {
-            Some(table) => table.apply_row(row, &hashes, &mut acc),
-            None => {
-                for (p, &h) in row.iter_mut().zip(&hashes) {
-                    *p = noisy_level(*p, h, amp);
+    let mut hashes = [0u32; NOISE_SEGMENT];
+    let mut acc = [0i32; NOISE_SEGMENT];
+    for (y, row) in (y0..).zip(px.chunks_exact_mut(w)) {
+        for (s, seg) in row.chunks_mut(NOISE_SEGMENT).enumerate() {
+            let hashes = &mut hashes[..seg.len()];
+            hash_row((s * NOISE_SEGMENT) as u32, y, salt, hashes);
+            match &table {
+                Some(table) => table.apply_row(seg, hashes, &mut acc[..seg.len()]),
+                None => {
+                    for (p, &h) in seg.iter_mut().zip(hashes.iter()) {
+                        *p = noisy_level(*p, h, amp);
+                    }
                 }
             }
         }
     }
 }
 
-/// `hashes[x] = hash_u32(x, y, salt)` for every `x` of one row.
-fn hash_row(y: u32, salt: u32, hashes: &mut [u32]) {
+/// Pixels per segment of [`add_sensor_noise`]'s row pass.
+const NOISE_SEGMENT: usize = 64;
+
+/// `hashes[i] = hash_u32(x0 + i, y, salt)` for every `i` of one run
+/// of a row.
+fn hash_row(x0: u32, y: u32, salt: u32, hashes: &mut [u32]) {
     // The pre-mix key is affine in `x`: step it instead of multiplying.
-    let mut key = y
-        .wrapping_mul(0x85EBCA77)
+    let mut key = x0
+        .wrapping_mul(0x9E3779B1)
+        .wrapping_add(y.wrapping_mul(0x85EBCA77))
         .wrapping_add(salt.wrapping_mul(0xC2B2AE3D));
     for h in hashes {
         *h = mix(key);
@@ -293,8 +366,8 @@ impl NoiseTable {
         (p as i32 + self.offset + steps).clamp(0, 255) as u8
     }
 
-    /// Noise for one row given its hashes; `acc` is scratch of the row's
-    /// length.
+    /// Noise for one run of a row given its hashes; `acc` is scratch of
+    /// the run's length.
     fn apply_row(&self, row: &mut [u8], hashes: &[u32], acc: &mut [i32]) {
         let (lo, hi) = row
             .iter()
@@ -327,7 +400,7 @@ impl NoiseTable {
 /// perturbs extracted centroids by a few pixels in a time-correlated
 /// way. The paper's real footage has them; the reproduction needs them
 /// so the initial heuristic faces realistic feature noise.
-fn draw_shadow(f: &mut GrayFrame, v: &VehicleObs, frame_index: u32, flicker: f64) {
+fn draw_shadow(f: &mut RowWindow, v: &VehicleObs, frame_index: u32, flicker: f64) {
     let (sin, cos) = v.heading.sin_cos();
     let axis = Vec2::new(cos, sin);
     let perp = Vec2::new(-sin, cos);
@@ -342,15 +415,13 @@ fn draw_shadow(f: &mut GrayFrame, v: &VehicleObs, frame_index: u32, flicker: f64
     let x1 = (center.x + r).ceil() as i64;
     let y0 = (center.y - r).floor() as i64;
     let y1 = (center.y + r).ceil() as i64;
-    for y in y0..=y1 {
-        for x in x0..=x1 {
-            if x < 0 || y < 0 || x as u32 >= f.width() || y as u32 >= f.height() {
-                continue;
-            }
+    let (xs, ys) = f.clip((x0, x1), (y0, y1));
+    for y in ys {
+        for x in xs.clone() {
             let p = Vec2::new(x as f64, y as f64) - center;
             if p.dot(axis).abs() <= half_len && p.dot(perp).abs() <= half_wid {
-                let cur = f.get(x as u32, y as u32) as f64;
-                f.set(x as u32, y as u32, (cur - 34.0).clamp(0.0, 255.0) as u8);
+                let i = f.index(x, y);
+                f.px[i] = (f.px[i] as f64 - 34.0).clamp(0.0, 255.0) as u8;
             }
         }
     }
@@ -359,7 +430,7 @@ fn draw_shadow(f: &mut GrayFrame, v: &VehicleObs, frame_index: u32, flicker: f64
 /// Draws one vehicle as an oriented rectangle with simple shading: a
 /// brighter roof block in the middle and a per-vehicle intensity offset
 /// derived from its id.
-fn draw_vehicle(f: &mut GrayFrame, v: &VehicleObs) {
+fn draw_vehicle(f: &mut RowWindow, v: &VehicleObs) {
     let base = class_intensity(v.class) + ((v.id.wrapping_mul(2654435761) % 31) as f64 - 15.0);
     let (sin, cos) = v.heading.sin_cos();
     let axis = Vec2::new(cos, sin);
@@ -372,8 +443,9 @@ fn draw_vehicle(f: &mut GrayFrame, v: &VehicleObs) {
     let y0 = (v.center.y - r).floor() as i64;
     let y1 = (v.center.y + r).ceil() as i64;
 
-    for y in y0..=y1 {
-        for x in x0..=x1 {
+    let (xs, ys) = f.clip((x0, x1), (y0, y1));
+    for y in ys {
+        for x in xs.clone() {
             let p = Vec2::new(x as f64, y as f64) - v.center;
             let u = p.dot(axis);
             let w = p.dot(perp);
@@ -387,7 +459,8 @@ fn draw_vehicle(f: &mut GrayFrame, v: &VehicleObs) {
                 // Body texture.
                 let tex = hash_noise(x as u32 & 0xffff, y as u32 & 0xffff, v.id as u32) * 5.0;
                 let val = (base + roof + tex).clamp(0.0, 255.0);
-                f.set_clipped(x, y, val as u8);
+                let i = f.index(x, y);
+                f.px[i] = val as u8;
             }
         }
     }
@@ -601,10 +674,78 @@ mod tests {
                 for amp in amps {
                     let salt = rng.next_u32();
                     let mut got = f.clone();
-                    add_sensor_noise(&mut got, salt, amp);
+                    add_sensor_noise(got.pixels_mut(), w, 0, salt, amp);
                     let mut want = f.clone();
                     add_sensor_noise_f64(&mut want, salt, amp);
                     assert_eq!(got, want, "{w}x{h} case {case} amp {amp}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_rows_equals_render_for_every_row_split() {
+        let mut rng = tsvr_sim::Pcg32::seeded(0x0b5d);
+        let vehicle = |id: u64, x: f64, y: f64, heading: f64, class| VehicleObs {
+            id,
+            class,
+            center: Vec2::new(x, y),
+            heading,
+            half_len: 11.0,
+            half_wid: 5.0,
+            speed: 3.0,
+        };
+        let shapes = [(320, 240), (37, 29), (16, 7), (9, 1), (1, 13), (0, 6), (6, 0), (0, 0)];
+        for (w, h) in shapes {
+            let (wf, hf) = (w as f64, h as f64);
+            // Vehicles straddling the frame's edges and corners, one off
+            // the frame, and seeded ones anywhere near it (shadows reach
+            // down and right of them, across band edges).
+            let mut vehicles = vec![
+                vehicle(1, 0.0, hf / 2.0, 0.0, VehicleClass::Car),
+                vehicle(2, wf, hf, 0.7, VehicleClass::Suv),
+                vehicle(3, wf / 2.0, 0.0, 1.6, VehicleClass::Pickup),
+                vehicle(4, wf / 2.0, hf - 1.0, 2.9, VehicleClass::Car),
+                vehicle(5, -40.0, -40.0, 0.0, VehicleClass::Car),
+            ];
+            for id in 6..14 {
+                let x = rng.next_f64() * (wf + 20.0) - 10.0;
+                let y = rng.next_f64() * (hf + 20.0) - 10.0;
+                vehicles.push(vehicle(id, x, y, rng.next_f64() * 6.3, VehicleClass::Suv));
+            }
+            for kind in [ScenarioKind::Tunnel, ScenarioKind::Intersection] {
+                for amp in [3.0, 0.0, 40.0, f64::NAN, -2.0] {
+                    let mut r = Renderer::new(kind, w, h);
+                    r.noise_amp = amp;
+                    let frame_index = rng.next_u32();
+                    let want = r.render(&vehicles, frame_index);
+                    // Row runs: all 1-row runs, band splits for 1..=8
+                    // bands (heights they do not divide leave a short
+                    // last band), and seeded ragged splits.
+                    let mut splits: Vec<Vec<u32>> = vec![(0..=h).collect()];
+                    for bands in 1..=8u32 {
+                        let step = h.div_ceil(bands).max(1);
+                        splits.push((0..h).step_by(step as usize).chain([h]).collect());
+                    }
+                    for _ in 0..4 {
+                        let mut cuts = vec![0, h];
+                        for _ in 0..rng.uniform_u32(5) {
+                            cuts.push(rng.uniform_u32(h + 1));
+                        }
+                        cuts.sort_unstable();
+                        splits.push(cuts);
+                    }
+                    for cuts in splits {
+                        let mut got = GrayFrame::filled(w, h, 0xA5);
+                        let mut rest = got.pixels_mut();
+                        for run in cuts.windows(2) {
+                            let len = (run[1] - run[0]) as usize * w as usize;
+                            let (head, tail) = rest.split_at_mut(len);
+                            r.render_rows(&vehicles, frame_index, run[0]..run[1], head);
+                            rest = tail;
+                        }
+                        assert_eq!(got, want, "{w}x{h} {kind:?} amp {amp} cuts {cuts:?}");
+                    }
                 }
             }
         }

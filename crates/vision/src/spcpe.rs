@@ -44,8 +44,23 @@ const MAX_ITERS: usize = 12;
 /// the iteration count and the mask are bit-identical to sweeping the
 /// pixels.
 pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
+    let mut mask = Mask::empty(diff.width(), diff.height());
+    let (bg_mean, fg_mean, iterations) = refine_into(diff, initial, &mut mask);
+    SpcpeResult {
+        mask,
+        bg_mean,
+        fg_mean,
+        iterations,
+    }
+}
+
+/// [`refine`] with the final partition written into `out`, which must
+/// have the frame's size; returns `(bg_mean, fg_mean, iterations)`.
+/// Allocates nothing, so a caller can reuse one mask across frames.
+pub(crate) fn refine_into(diff: &GrayFrame, initial: &Mask, out: &mut Mask) -> (f64, f64, usize) {
     assert_eq!(diff.width(), initial.width());
     assert_eq!(diff.height(), initial.height());
+    assert_eq!(out.as_slice().len(), initial.as_slice().len());
     let pixels = diff.pixels();
 
     // hist[c][v]: pixels of value v in class c of the initial partition.
@@ -77,12 +92,8 @@ pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
         let mean = |sum: u64, n: u64| if n > 0 { sum as f64 / n as f64 } else { 0.0 };
         if fg_n == 0 || bg_n == 0 {
             // Degenerate partition; nothing to refine.
-            return SpcpeResult {
-                mask: apply(lut, diff, initial),
-                bg_mean: mean(bg_sum, bg_n),
-                fg_mean: mean(fg_sum, fg_n),
-                iterations,
-            };
+            apply(lut, diff, initial, out);
+            return (mean(bg_sum, bg_n), mean(fg_sum, fg_n), iterations);
         }
         bg_mean = mean(bg_sum, bg_n);
         fg_mean = mean(fg_sum, fg_n);
@@ -105,12 +116,8 @@ pub fn refine(diff: &GrayFrame, initial: &Mask) -> SpcpeResult {
         }
     }
 
-    SpcpeResult {
-        mask: apply(lut, diff, initial),
-        bg_mean,
-        fg_mean,
-        iterations,
-    }
+    apply(lut, diff, initial, out);
+    (bg_mean, fg_mean, iterations)
 }
 
 /// Interleaved sub-histograms in [`class_histogram`].
@@ -147,17 +154,16 @@ fn class_histogram(pixels: &[u8], mask: &[bool]) -> [[u64; 256]; 2] {
     hist
 }
 
-/// The partition a value lookup table assigns to `diff`; the initial
-/// mask itself while no sweep has reassigned.
-fn apply(lut: Option<[bool; 256]>, diff: &GrayFrame, initial: &Mask) -> Mask {
+/// Writes into `out` the partition a value lookup table assigns to
+/// `diff`; the initial mask itself while no sweep has reassigned.
+fn apply(lut: Option<[bool; 256]>, diff: &GrayFrame, initial: &Mask, out: &mut Mask) {
     let Some(lut) = lut else {
-        return initial.clone();
+        out.as_mut_slice().copy_from_slice(initial.as_slice());
+        return;
     };
-    let mut mask = Mask::empty(diff.width(), diff.height());
-    for (m, &p) in mask.as_mut_slice().iter_mut().zip(diff.pixels()) {
+    for (m, &p) in out.as_mut_slice().iter_mut().zip(diff.pixels()) {
         *m = lut[p as usize];
     }
-    mask
 }
 
 #[cfg(test)]
@@ -219,6 +225,18 @@ mod tests {
     fn assert_same(diff: &GrayFrame, initial: &Mask, what: &str) -> SpcpeResult {
         let got = refine(diff, initial);
         let want = refine_per_pixel(diff, initial);
+        // The in-place form overwrites whatever a reused buffer held.
+        let mut reused = Mask::empty(diff.width(), diff.height());
+        for (i, m) in reused.as_mut_slice().iter_mut().enumerate() {
+            *m = i % 3 == 0;
+        }
+        let (bg_mean, fg_mean, iterations) = refine_into(diff, initial, &mut reused);
+        assert_eq!(reused, want.mask, "{what}: reused mask");
+        assert_eq!(
+            (bg_mean.to_bits(), fg_mean.to_bits(), iterations),
+            (got.bg_mean.to_bits(), got.fg_mean.to_bits(), got.iterations),
+            "{what}: refine_into"
+        );
         assert_eq!(got.mask, want.mask, "{what}: mask");
         assert_eq!(
             got.bg_mean.to_bits(),

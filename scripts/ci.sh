@@ -14,10 +14,12 @@ cargo test -q --workspace
 echo "==> TSVR_THREADS=1 cargo test -q --workspace (forced-sequential runtime)"
 TSVR_THREADS=1 cargo test -q --workspace
 
-# Golden vision digests at an odd worker count: three workers cut frames
-# into uneven row bands and chunks, which must not change a pixel or a
-# track (the default and one-thread runs are in the two suites above).
-echo "==> vision golden digests (TSVR_THREADS=3)"
+# Golden vision digests at two worker counts: two workers is the band
+# split of a 2-vCPU host, and three cut frames into uneven row bands and
+# chunks; neither may change a pixel or a track (the default and
+# one-thread runs are in the two suites above).
+echo "==> vision golden digests (TSVR_THREADS=2 and 3)"
+TSVR_THREADS=2 cargo test -q --test vision_golden
 TSVR_THREADS=3 cargo test -q --test vision_golden
 
 # Repository benchmark smoke (--toy): every workload end to end, traced

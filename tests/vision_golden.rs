@@ -8,8 +8,9 @@
 //! the `Debug` text of the tracks `pipeline::process` returns.
 //!
 //! The digests must not depend on the worker count: CI runs this file
-//! at the default thread count, at `TSVR_THREADS=1` and at
-//! `TSVR_THREADS=3` (uneven row bands and chunk sizes).
+//! at the default thread count, at `TSVR_THREADS=1`, at `TSVR_THREADS=2`
+//! (the band split of a 2-vCPU host) and at `TSVR_THREADS=3` (uneven
+//! row bands and chunk sizes).
 
 use tsvr::sim::{fleet, Scenario, ScenarioKind, World};
 use tsvr::vision::pipeline::{process, PipelineConfig};
